@@ -129,9 +129,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     if args.choices is not None and model.kind != "modifiable":
         raise ValueError("--choices is only meaningful with --model modifiable")
-    if model.kind == "modifiable":
-        choices = args.choices if args.choices is not None else "s" * len(args.x)
-        trace = interpret_modifiable(rule, args.x, choices)
+    if args.choices is not None:
+        trace = interpret_modifiable(rule, args.x, args.choices)
     else:
         trace = interpret(rule, model, args.x)
     if args.trace:

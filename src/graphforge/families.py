@@ -32,14 +32,9 @@ from __future__ import annotations
 
 from .graphs import Graph
 from .machines import LabeledGraph, RuleSet
+from .machines import _check_instruction_string as check_bits
 
 RunStatistics = tuple[int, ...]
-
-
-def check_bits(x: str) -> tuple[int, ...]:
-    if any(ch not in "01" for ch in x):
-        raise ValueError(f"instruction string must be over 0/1, got {x!r}")
-    return tuple(int(ch) for ch in x)
 
 
 # ---------------------------------------------------------------------------

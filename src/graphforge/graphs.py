@@ -426,8 +426,8 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
     """One representative per isomorphism class on exactly n vertices,
     generated by extending smaller representatives one vertex at a time.
     Deterministic order (sorted by canonical certificate)."""
-    if n > 7:
-        raise ValueError("class enumeration supported for n <= 7")
+    if not 0 <= n <= 7:
+        raise ValueError("class enumeration supported for 0 <= n <= 7")
     return list(_graph_classes(n))
 
 
@@ -452,6 +452,23 @@ def _small_iso_masks(h: Graph) -> frozenset[int]:
     return masks
 
 
+def _induces_mask_in(g: Graph, k: int, table: frozenset[int]) -> bool:
+    """True when some k-subset of g induces an edge mask (on positions
+    1..k in subset order) that lies in table."""
+    rows = _rows(g)
+    dyad_pos = _dyad_pos(k)
+    for subset in combinations(range(1, g.n + 1), k):
+        m = 0
+        for a in range(k):
+            ra = rows[subset[a]]
+            for b in range(a + 1, k):
+                if (ra >> subset[b]) & 1:
+                    m |= 1 << dyad_pos[(a + 1, b + 1)]
+        if m in table:
+            return True
+    return False
+
+
 def contains_induced(g: Graph, h: Graph) -> bool:
     """True when some vertex subset of g induces a copy of h."""
     k = h.n
@@ -459,20 +476,8 @@ def contains_induced(g: Graph, h: Graph) -> bool:
         return False
     if k == 0:
         return True
-    rows = _rows(g)
     if k <= 4:
-        table = _small_iso_masks(h)
-        dyad_pos = _dyad_pos(k)
-        for subset in combinations(range(1, g.n + 1), k):
-            m = 0
-            for a in range(k):
-                ra = rows[subset[a]]
-                for b in range(a + 1, k):
-                    if (ra >> subset[b]) & 1:
-                        m |= 1 << dyad_pos[(a + 1, b + 1)]
-            if m in table:
-                return True
-        return False
+        return _induces_mask_in(g, k, _small_iso_masks(h))
     target_deg = h.degree_sequence()
     target_m = len(h.edges)
     for subset in combinations(range(1, g.n + 1), k):
@@ -517,18 +522,7 @@ def is_threshold_by_forbidden(g: Graph) -> bool:
         | _small_iso_masks(cycle_graph(4))
         | _small_iso_masks(disjoint_union(path_graph(2), path_graph(2)))
     )
-    rows = _rows(g)
-    dyad_pos = _dyad_pos(4)
-    for subset in combinations(range(1, g.n + 1), 4):
-        m = 0
-        for a in range(4):
-            ra = rows[subset[a]]
-            for b in range(a + 1, 4):
-                if (ra >> subset[b]) & 1:
-                    m |= 1 << dyad_pos[(a + 1, b + 1)]
-        if m in bad:
-            return False
-    return True
+    return not _induces_mask_in(g, 4, bad)
 
 
 # ---------------------------------------------------------------------------

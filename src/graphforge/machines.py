@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, empty_graph, induced_subgraph, is_isomorphic, to_json_obj
+from .graphs import Graph, empty_graph, to_json_obj
 
 
 class InvalidActionForModel(ValueError):
@@ -280,43 +280,19 @@ def interpret(rule: RuleSet, model: MemoryModel, x: str) -> ConstructionTrace:
         raise InvalidActionForModel(
             f"rule {rule.mnemonic} joins by label but the model stores no labels"
         )
-    if model.kind == "modifiable":
-        return interpret_modifiable(rule, x, "s" * len(x))
-
-    steps: list[StepRecord] = []
-    edges: set[tuple[int, int]] = set()
-    for t in range(1, len(labels) + 1):
-        bit = labels[t - 1]
-        action = rule.action_for(bit)
-        added: list[tuple[int, int]] = []
-        if action is Action.DOMINATE_ALL:
-            added = [(i, t) for i in range(1, t)]
-        elif action.join_target is not None:
-            c = action.join_target
-            if model.kind == "full":
-                added = [(i, t) for i in range(1, t) if labels[i - 1] == c]
-            else:  # fading, window 2: only the previous label is readable
-                if t > 1 and labels[t - 2] == c:
-                    added = [(t - 1, t)]
-        edges.update(added)
-        steps.append(StepRecord(t, bit, action, False, tuple(sorted(added))))
-
-    final = LabeledGraph(Graph(len(labels), frozenset(edges)), labels)
-    return ConstructionTrace(rule, model, x, None, tuple(steps), final)
+    return _run(rule, model, x, labels, "s" * len(x) if model.kind == "modifiable" else None)
 
 
-def _normalize_choices(choices, length: int) -> tuple[str, tuple[bool, ...]]:
+def _normalize_choices(choices, length: int) -> str:
     if isinstance(choices, str):
         if any(ch not in "sm" for ch in choices):
             raise ValueError(f"choices must be over s/m, got {choices!r}")
-        flags = tuple(ch == "m" for ch in choices)
         text = choices
     else:
-        flags = tuple(bool(c) for c in choices)
-        text = "".join("m" if f else "s" for f in flags)
-    if len(flags) != length:
-        raise ValueError(f"need one choice per step: {len(flags)} choices for {length} steps")
-    return text, flags
+        text = "".join("m" if c else "s" for c in choices)
+    if len(text) != length:
+        raise ValueError(f"need one choice per step: {len(text)} choices for {length} steps")
+    return text
 
 
 def interpret_modifiable(rule: RuleSet, x: str, choices) -> ConstructionTrace:
@@ -325,17 +301,23 @@ def interpret_modifiable(rule: RuleSet, x: str, choices) -> ConstructionTrace:
     vertex to every c-labelled vertex placed so far (the new vertex counts),
     which can retroactively add edges between old vertices."""
     labels = _check_instruction_string(x)
-    text, flags = _normalize_choices(choices, len(labels))
+    return _run(rule, MODIFIABLE, x, labels, _normalize_choices(choices, len(x)))
 
+
+def _run(
+    rule: RuleSet, model: MemoryModel, x: str, labels: tuple[int, ...], choices: str | None
+) -> ConstructionTrace:
+    """The step loop shared by every memory model. `choices` is None outside
+    the modifiable model. Each step records only edges not already present."""
     steps: list[StepRecord] = []
     edges: set[tuple[int, int]] = set()
     for t in range(1, len(labels) + 1):
         bit = labels[t - 1]
         action = rule.action_for(bit)
-        modify = flags[t - 1]
+        c = action.join_target
+        modify = choices is not None and choices[t - 1] == "m"
         added: list[tuple[int, int]] = []
         if modify:
-            c = action.join_target
             if c is None:
                 raise ModifyUnsupported(
                     f"step {t} fires {action.value!r}; only label joins can be modified"
@@ -343,37 +325,32 @@ def interpret_modifiable(rule: RuleSet, x: str, choices) -> ConstructionTrace:
             want = {bit, c}
             for i in range(1, t + 1):
                 for j in range(i + 1, t + 1):
-                    pair_labels = {labels[i - 1], labels[j - 1]}
-                    if bit == c:
-                        match = pair_labels == {bit}
-                    else:
-                        match = labels[i - 1] in want and labels[j - 1] in want and pair_labels == want
-                    if match and (i, j) not in edges:
+                    if {labels[i - 1], labels[j - 1]} == want and (i, j) not in edges:
                         added.append((i, j))
-        else:
-            if action is Action.DOMINATE_ALL:
-                added = [(i, t) for i in range(1, t)]
-            elif action.join_target is not None:
-                c = action.join_target
+        elif action is Action.DOMINATE_ALL:
+            added = [(i, t) for i in range(1, t)]
+        elif c is not None:
+            if model.kind == "fading":  # window 2: only the previous label is readable
+                if t > 1 and labels[t - 2] == c:
+                    added = [(t - 1, t)]
+            else:
                 added = [(i, t) for i in range(1, t) if labels[i - 1] == c]
         edges.update(added)
         steps.append(StepRecord(t, bit, action, modify, tuple(sorted(added))))
 
     final = LabeledGraph(Graph(len(labels), frozenset(edges)), labels)
-    return ConstructionTrace(rule, MODIFIABLE, x, text, tuple(steps), final)
+    return ConstructionTrace(rule, model, x, choices, tuple(steps), final)
 
 
 def memory_modifiable_steps(trace: ConstructionTrace) -> list[int]:
     """Steps t where deleting vertex t from G_t does not recover G_{t-1}
-    up to isomorphism, i.e. where the step rewrote the existing graph."""
-    flagged = []
-    per_step = trace.graphs_per_step()
-    for t in range(1, len(per_step)):
-        g_t = per_step[t]
-        g_prev = per_step[t - 1]
-        if not is_isomorphic(induced_subgraph(g_t, range(1, t)), g_prev):
-            flagged.append(t)
-    return flagged
+    up to isomorphism, i.e. where the step rewrote the existing graph.
+
+    Read from the edge records: steps only add edges, and each records only
+    edges not already present, so G_t minus vertex t has G_{t-1} as a
+    spanning subgraph. The two are isomorphic exactly when they have equal
+    edge counts, that is, when step t added no edge (i, j) with j < t."""
+    return [rec.step for rec in trace.steps if any(j < rec.step for _, j in rec.edges_added)]
 
 
 def is_memory_modifiable_output(trace: ConstructionTrace) -> bool:

@@ -39,6 +39,7 @@ from itertools import permutations
 from math import comb
 
 from .graphs import (
+    MAX_EXACT_N,
     Graph,
     automorphism_count,
     canonical_form,
@@ -169,11 +170,11 @@ class McEstimate:
 def likelihood_mc(g: Graph, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of likelihood_exact(g): run the uniform process
     `samples` times and count draws isomorphic to g."""
-    from .graphs import is_isomorphic  # local import keeps module load light
-
     if samples < 1:
         raise ValueError("need at least one sample")
     n = g.n
+    if not 1 <= n <= MAX_EXACT_N:
+        raise ValueError(f"Monte-Carlo likelihood supported for 1 <= n <= {MAX_EXACT_N}, got {n}")
     rng = random.Random(seed)
     dist = Uniform()
     target_m = g.edge_count

@@ -90,6 +90,13 @@ def is_recursive_tree(g: Graph) -> bool:
     search instead of trusting any construction record."""
     if not is_tree(g):
         return False
+    parent = _parents_toward_root(g)
+    return all(parent[v] < v for v in range(2, g.n + 1))
+
+
+def _parents_toward_root(g: Graph) -> dict[int, int]:
+    """Each vertex's neighbour on its path to vertex 1 in the tree g; vertex
+    1 maps to 0."""
     parent = {1: 0}
     queue = [1]
     while queue:
@@ -98,21 +105,14 @@ def is_recursive_tree(g: Graph) -> bool:
             if u not in parent:
                 parent[u] = v
                 queue.append(u)
-    return all(parent[v] < v for v in range(2, g.n + 1))
+    return parent
 
 
 def root_path(g: Graph, v: int) -> tuple[int, ...]:
     """The unique path from vertex 1 to v in a tree, endpoints included."""
     if not is_tree(g):
         raise ValueError("root paths are defined for trees only")
-    parent: dict[int, int] = {1: 0}
-    queue = [1]
-    while queue:
-        w = queue.pop()
-        for u in g.neighbors(w):
-            if u not in parent:
-                parent[u] = w
-                queue.append(u)
+    parent = _parents_toward_root(g)
     path = [v]
     while path[-1] != 1:
         path.append(parent[path[-1]])

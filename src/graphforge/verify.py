@@ -24,6 +24,13 @@ Check ids (CLI names in parentheses):
 The reachability helpers (enumerate_outputs, reachable_classes,
 find_constructions, expressiveness_count, hierarchy_report) answer which
 isomorphism classes each memory model can emit at all.
+
+Every machine run comes from one enumerator, _runs, which yields each trace
+of a rule at one string length (one per legal choice sequence under the
+modifiable model).  C_modifiable reads rewrite steps from the traces' edge
+records: steps only add edges and record only new ones, so deleting vertex
+t from G_t fails to recover G_{t-1} up to isomorphism exactly when step t
+added an edge between two earlier vertices.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from .machines import (
     MODIFIABLE,
     NO_MEMORY,
     NO_MEMORY_RULES,
+    ConstructionTrace,
     MemoryModel,
     RuleSet,
     fading_memory,
@@ -80,6 +88,7 @@ from .machines import (
 PROPOSITION_IDS = ("P2", "P3", "P5", "C_modifiable", "C_pnfree")
 
 _DEFAULT_MAX_N = {"P2": 10, "P3": 8, "P5": 8, "C_modifiable": 6, "C_pnfree": 8}
+_MAX_N = {"P2": 10, "P3": 8, "P5": 8, "C_modifiable": 7, "C_pnfree": 8}
 
 
 @dataclass(frozen=True)
@@ -177,43 +186,52 @@ def _choice_strings(rule: RuleSet, x: str):
     yield from map("".join, product(*options))
 
 
+def _runs(rule: RuleSet, model: MemoryModel, n: int):
+    """Every trace of the rule at string length n, strings in numeric order;
+    under the modifiable model, one trace per legal choice sequence."""
+    for x in _strings(n):
+        if model.kind == "modifiable":
+            for choices in _choice_strings(rule, x):
+                yield interpret_modifiable(rule, x, choices)
+        else:
+            yield interpret(rule, model, x)
+
+
+def _check_enumeration_bound(model: MemoryModel, n: int, what: str) -> None:
+    if n > 12 or (model.kind == "modifiable" and n > 7):
+        raise ValueError(f"{what} bounds: n <= 12, modifiable n <= 7")
+
+
+def _counterexample(trace: ConstructionTrace, expected: str) -> Counterexample:
+    """The run, replayable from its rule, string and choices, with its output."""
+    return Counterexample(
+        trace.rule.mnemonic, str(trace.model), trace.x, trace.choices, expected,
+        to_json(trace.final.graph),
+    )
+
+
 # ---------------------------------------------------------------------------
 # reachability
 # ---------------------------------------------------------------------------
 
-def _reachable_with_witnesses(model: MemoryModel, n: int) -> dict[bytes, tuple[str, str]]:
-    """Canonical certificate -> first (rule mnemonic, x) reaching it."""
-    out: dict[bytes, tuple[str, str]] = {}
+def _reachable_with_witnesses(model: MemoryModel, n: int) -> dict[bytes, ConstructionTrace]:
+    """Canonical certificate -> first run (in rule, then string order) reaching it."""
+    out: dict[bytes, ConstructionTrace] = {}
     for rule in _rules_for(model):
-        for x in _strings(n):
-            if model.kind == "modifiable":
-                for choices in _choice_strings(rule, x):
-                    cert = canonical_form(interpret_modifiable(rule, x, choices).final.graph)
-                    out.setdefault(cert, (rule.mnemonic, x))
-            else:
-                cert = canonical_form(interpret(rule, model, x).final.graph)
-                out.setdefault(cert, (rule.mnemonic, x))
+        for trace in _runs(rule, model, n):
+            out.setdefault(canonical_form(trace.final.graph), trace)
     return out
 
 
 def enumerate_outputs(rule: RuleSet, model: MemoryModel, n: int) -> set[bytes]:
     """Canonical forms of every output of the rule at string length n."""
-    if n > 12 or (model.kind == "modifiable" and n > 7):
-        raise ValueError("output enumeration bounds: n <= 12, modifiable n <= 7")
-    out: set[bytes] = set()
-    for x in _strings(n):
-        if model.kind == "modifiable":
-            for choices in _choice_strings(rule, x):
-                out.add(canonical_form(interpret_modifiable(rule, x, choices).final.graph))
-        else:
-            out.add(canonical_form(interpret(rule, model, x).final.graph))
-    return out
+    _check_enumeration_bound(model, n, "output enumeration")
+    return {canonical_form(trace.final.graph) for trace in _runs(rule, model, n)}
 
 
 def reachable_classes(model: MemoryModel, n: int) -> set[bytes]:
     """Canonical forms reachable under any rule legal for the model."""
-    if n > 12 or (model.kind == "modifiable" and n > 7):
-        raise ValueError("output enumeration bounds: n <= 12, modifiable n <= 7")
+    _check_enumeration_bound(model, n, "output enumeration")
     return set(_reachable_with_witnesses(model, n))
 
 
@@ -227,20 +245,14 @@ def expressiveness_count(model: MemoryModel, n: int) -> int:
 def find_constructions(g: Graph, model: MemoryModel) -> list[tuple[str, str]]:
     """All (rule, x) whose output is isomorphic to g; for the modifiable
     model a pair is included when some choice sequence reaches g."""
-    n = g.n
-    if n > 12 or (model.kind == "modifiable" and n > 7):
-        raise ValueError("construction search bounds: n <= 12, modifiable n <= 7")
-    hits = []
+    _check_enumeration_bound(model, g.n, "construction search")
+    hits: list[tuple[str, str]] = []
     for rule in _rules_for(model):
-        for x in _strings(n):
-            if model.kind == "modifiable":
-                if any(
-                    is_isomorphic(interpret_modifiable(rule, x, ch).final.graph, g)
-                    for ch in _choice_strings(rule, x)
-                ):
-                    hits.append((rule.mnemonic, x))
-            elif is_isomorphic(interpret(rule, model, x).final.graph, g):
-                hits.append((rule.mnemonic, x))
+        for trace in _runs(rule, model, g.n):
+            pair = (rule.mnemonic, trace.x)
+            # choice sequences of one string arrive together; test each pair once
+            if hits[-1:] != [pair] and is_isomorphic(trace.final.graph, g):
+                hits.append(pair)
     return hits
 
 
@@ -267,29 +279,26 @@ def _verify_no_memory(max_n: int) -> VerificationReport:
     cxs: list[Counterexample] = []
     notes: list[str] = []
     checked = 0
-
-    def fail(rule, x, expected, got_graph):
-        cxs.append(Counterexample(rule.mnemonic, "none", x, None, expected, to_json(got_graph)))
-
     for n in range(max_n + 1):
         seen: dict[bytes, str] = {}
         for x in _strings(n):
-            g_empty = interpret(rule_empty, NO_MEMORY, x).final.graph
+            empty = interpret(rule_empty, NO_MEMORY, x)
             checked += 1
-            if g_empty != empty_graph(n):
-                fail(rule_empty, x, "the empty graph", g_empty)
-            g_full = interpret(rule_complete, NO_MEMORY, x).final.graph
+            if empty.final.graph != empty_graph(n):
+                cxs.append(_counterexample(empty, "the empty graph"))
+            full = interpret(rule_complete, NO_MEMORY, x)
             checked += 1
-            if g_full != complete_graph(n):
-                fail(rule_complete, x, "the complete graph", g_full)
-            g = interpret(rule_threshold, NO_MEMORY, x).final.graph
+            if full.final.graph != complete_graph(n):
+                cxs.append(_counterexample(full, "the complete graph"))
+            threshold = interpret(rule_threshold, NO_MEMORY, x)
+            g = threshold.final.graph
             checked += 1
             if g != threshold_creation(x).graph:
-                fail(rule_threshold, x, "the creation-sequence closed form", g)
+                cxs.append(_counterexample(threshold, "the creation-sequence closed form"))
             if not is_threshold(g):
-                fail(rule_threshold, x, "a threshold graph (elimination test)", g)
+                cxs.append(_counterexample(threshold, "a threshold graph (elimination test)"))
             if not is_threshold_by_forbidden(g):
-                fail(rule_threshold, x, "a threshold graph (forbidden-subgraph test)", g)
+                cxs.append(_counterexample(threshold, "a threshold graph (forbidden-subgraph test)"))
             seen.setdefault(canonical_form(g), x)
         if n >= 1 and len(seen) != 2 ** (n - 1):
             cxs.append(
@@ -332,43 +341,34 @@ _NAMED_FULL_SHAPES = {
 }
 
 
+def _table_runs(model: MemoryModel, family, max_n: int, cxs: list[Counterexample]):
+    """Run every canonical rule on every string of length at most max_n and
+    compare each output, labelled vertex for labelled vertex, with the
+    closed-form family. Yields (trace, matches); mismatches also go to cxs."""
+    for rule in FULL_RULES:
+        for n in range(max_n + 1):
+            for trace in _runs(rule, model, n):
+                want = family(rule, trace.x)
+                matches = trace.final.graph == want.graph and trace.final.labels == want.labels
+                if not matches:
+                    cxs.append(_counterexample(trace, f"closed form {to_json(want.graph)}"))
+                yield trace, matches
+
+
 def _verify_full_memory(max_n: int) -> VerificationReport:
     started = time.monotonic()
     cxs: list[Counterexample] = []
     checked = 0
-    for rule in FULL_RULES:
-        shape = _NAMED_FULL_SHAPES.get(rule.mnemonic)
-        for n in range(max_n + 1):
-            for x in _strings(n):
-                got = interpret(rule, FULL_MEMORY, x).final
-                want = full_table_family(rule, x)
-                checked += 1
-                if got.graph != want.graph or got.labels != want.labels:
-                    cxs.append(
-                        Counterexample(
-                            rule.mnemonic, "full", x, None,
-                            f"closed form {to_json(want.graph)}", to_json(got.graph),
-                        )
-                    )
-                    continue
-                if shape is not None:
-                    l = x.count("0")
-                    m = x.count("1")
-                    if not is_isomorphic(got.graph, shape(l, m)):
-                        cxs.append(
-                            Counterexample(
-                                rule.mnemonic, "full", x, None,
-                                "the named family shape", to_json(got.graph),
-                            )
-                        )
-                if rule.mnemonic == "0>E,1>-" and not (
-                    is_threshold(got.graph) and is_threshold_by_forbidden(got.graph)
-                ):
-                    cxs.append(
-                        Counterexample(
-                            rule.mnemonic, "full", x, None, "a threshold graph", to_json(got.graph)
-                        )
-                    )
+    for trace, matches in _table_runs(FULL_MEMORY, full_table_family, max_n, cxs):
+        checked += 1
+        if not matches:
+            continue
+        g = trace.final.graph
+        shape = _NAMED_FULL_SHAPES.get(trace.rule.mnemonic)
+        if shape is not None and not is_isomorphic(g, shape(trace.x.count("0"), trace.x.count("1"))):
+            cxs.append(_counterexample(trace, "the named family shape"))
+        if trace.rule.mnemonic == "0>E,1>-" and not (is_threshold(g) and is_threshold_by_forbidden(g)):
+            cxs.append(_counterexample(trace, "a threshold graph"))
     return _report("P3", max_n, FULL_RULES, (FULL_MEMORY,), checked, cxs, (), started)
 
 
@@ -399,33 +399,16 @@ def _verify_fading_memory(max_n: int) -> VerificationReport:
             )
         else:
             notes.append(f"{name}({_RUN_STAT_EXAMPLE}) = {expected}")
-    for rule in FULL_RULES:
-        for n in range(max_n + 1):
-            for x in _strings(n):
-                got = interpret(rule, fading, x).final
-                want = fading_table_family(rule, x)
-                checked += 1
-                if got.graph != want.graph or got.labels != want.labels:
-                    cxs.append(
-                        Counterexample(
-                            rule.mnemonic, "fading(2)", x, None,
-                            f"closed form {to_json(want.graph)}", to_json(got.graph),
-                        )
-                    )
-                    continue
-                sizes = fading_path_sizes(rule, x)
-                if sizes is not None:
-                    expected_forest = linear_forest(list(sizes) + [1] * (n - sum(sizes)))
-                    if not (
-                        is_linear_forest(got.graph)
-                        and is_isomorphic(got.graph, expected_forest)
-                    ):
-                        cxs.append(
-                            Counterexample(
-                                rule.mnemonic, "fading(2)", x, None,
-                                f"linear forest with path sizes {sizes}", to_json(got.graph),
-                            )
-                        )
+    for trace, matches in _table_runs(fading, fading_table_family, max_n, cxs):
+        checked += 1
+        if not matches:
+            continue
+        g = trace.final.graph
+        sizes = fading_path_sizes(trace.rule, trace.x)
+        if sizes is not None:
+            expected_forest = linear_forest(list(sizes) + [1] * (g.n - sum(sizes)))
+            if not (is_linear_forest(g) and is_isomorphic(g, expected_forest)):
+                cxs.append(_counterexample(trace, f"linear forest with path sizes {sizes}"))
     return _report("P5", max_n, FULL_RULES, (fading,), checked, cxs, notes, started)
 
 
@@ -455,41 +438,37 @@ def _verify_modifiable(max_n: int) -> VerificationReport:
         notes.append("rule 0>1,1>- x 00010 with a final rewrite yields the 4-star")
     else:
         cxs.append(
-            Counterexample(
-                "0>1,1>-", "modifiable", "00010", "ssssm",
-                "the complete bipartite graph on 1+4 vertices, rewritten at step 5",
-                to_json(worked.final.graph),
+            _counterexample(
+                worked, "the complete bipartite graph on 1+4 vertices, rewritten at step 5"
             )
         )
 
     flagged_total = 0
     for rule in FULL_RULES:
         for n in range(max_n + 1):
-            for x in _strings(n):
-                for choices in _choice_strings(rule, x):
-                    trace = interpret_modifiable(rule, x, choices)
-                    checked += 1
-                    flagged = memory_modifiable_steps(trace)
-                    if not flagged:
-                        continue
-                    per_step = trace.graphs_per_step()
-                    for t in flagged:
-                        flagged_total += 1
-                        g_t = per_step[t]
-                        cert = canonical_form(g_t)
-                        ok = family_cache.get(cert)
-                        if ok is None:
-                            ok = _modifiable_family_member(g_t)
-                            family_cache[cert] = ok
-                        if not ok:
-                            cxs.append(
-                                Counterexample(
-                                    rule.mnemonic, "modifiable", x, choices,
-                                    f"step-{t} graph in the rewrite families "
-                                    "(complete split / complete bipartite / complete)",
-                                    to_json(g_t),
-                                )
+            for trace in _runs(rule, MODIFIABLE, n):
+                checked += 1
+                flagged = memory_modifiable_steps(trace)
+                if not flagged:
+                    continue
+                per_step = trace.graphs_per_step()
+                for t in flagged:
+                    flagged_total += 1
+                    g_t = per_step[t]
+                    cert = canonical_form(g_t)
+                    ok = family_cache.get(cert)
+                    if ok is None:
+                        ok = _modifiable_family_member(g_t)
+                        family_cache[cert] = ok
+                    if not ok:
+                        cxs.append(
+                            Counterexample(
+                                rule.mnemonic, "modifiable", trace.x, trace.choices,
+                                f"step-{t} graph in the rewrite families "
+                                "(complete split / complete bipartite / complete)",
+                                to_json(g_t),
                             )
+                        )
     notes.append(f"{flagged_total} rewrite steps examined")
     return _report("C_modifiable", max_n, FULL_RULES, (MODIFIABLE,), checked, cxs, notes, started)
 
@@ -500,12 +479,13 @@ def _verify_path_cycle_free(max_n: int) -> VerificationReport:
     notes: list[str] = []
     checked = 0
 
-    witnesses: dict[bytes, tuple[str, str]] = {}
-    for rule in FULL_RULES:
-        for n in range(max_n + 1):
-            for x in _strings(n):
-                g = interpret(rule, FULL_MEMORY, x).final.graph
-                witnesses.setdefault(canonical_form(g), (rule.mnemonic, x))
+    # certificates carry n, so merging the per-size maps keeps each class's
+    # first witness in rule order
+    witnesses = {
+        cert: trace
+        for n in range(max_n + 1)
+        for cert, trace in _reachable_with_witnesses(FULL_MEMORY, n).items()
+    }
     notes.append(f"{len(witnesses)} distinct output classes at n <= {max_n}")
 
     forbidden = [
@@ -517,29 +497,23 @@ def _verify_path_cycle_free(max_n: int) -> VerificationReport:
     p4_seen = False
     c4_seen = False
     for cert in sorted(witnesses):
-        rule_name, x = witnesses[cert]
-        g = interpret(parse_rule(rule_name), FULL_MEMORY, x).final.graph
+        trace = witnesses[cert]
+        g = trace.final.graph
         for label, h in forbidden:
             checked += 1
             if contains_induced(g, h):
-                cxs.append(
-                    Counterexample(rule_name, "full", x, None, f"no {label}", to_json(g))
-                )
+                cxs.append(_counterexample(trace, f"no {label}"))
         if not p4_seen and contains_induced(g, path_graph(4)):
             p4_seen = True
-            notes.append(f"induced 4-path witness: rule {rule_name} x {x}")
+            notes.append(f"induced 4-path witness: rule {trace.rule.mnemonic} x {trace.x}")
         if not c4_seen and contains_induced(g, cycle_graph(4)):
             c4_seen = True
-            notes.append(f"induced 4-cycle witness: rule {rule_name} x {x}")
+            notes.append(f"induced 4-cycle witness: rule {trace.rule.mnemonic} x {trace.x}")
 
-    example = interpret(parse_rule("0>1,1>-"), FULL_MEMORY, "10010").final.graph
+    example = interpret(parse_rule("0>1,1>-"), FULL_MEMORY, "10010")
     checked += 1
-    if not contains_induced(example, path_graph(4)):
-        cxs.append(
-            Counterexample(
-                "0>1,1>-", "full", "10010", None, "an induced 4-path", to_json(example)
-            )
-        )
+    if not contains_induced(example.final.graph, path_graph(4)):
+        cxs.append(_counterexample(example, "an induced 4-path"))
     if not p4_seen:
         cxs.append(
             Counterexample("any", "full", f"|x| <= {max_n}", None, "some induced 4-path", "none")
@@ -571,9 +545,8 @@ def verify_proposition(proposition: str, max_n: int | None = None) -> Verificati
     bound = _DEFAULT_MAX_N[proposition] if max_n is None else max_n
     if bound < 0:
         raise ValueError("max_n must be nonnegative")
-    cap = 7 if proposition == "C_modifiable" else 8 if proposition != "P2" else 10
-    if bound > cap:
-        raise ValueError(f"{proposition} supports max_n <= {cap}")
+    if bound > _MAX_N[proposition]:
+        raise ValueError(f"{proposition} supports max_n <= {_MAX_N[proposition]}")
     return fn(bound)
 
 
@@ -583,6 +556,8 @@ def hierarchy_report(max_n: int = 8) -> VerificationReport:
     the report records whether the fading classes embed into full memory
     (they do not: fading memory reaches long induced paths that full-memory
     outputs never contain)."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     if max_n > 8:
         raise ValueError("hierarchy comparison supported for max_n <= 8")
     started = time.monotonic()
@@ -597,26 +572,14 @@ def hierarchy_report(max_n: int = 8) -> VerificationReport:
         notes.append(f"n={n}: none {len(none_w)}, fading {len(fading_w)}, full {len(full_w)}")
         for cert in sorted(none_w):
             checked += 2
-            rule_name, x = none_w[cert]
-            g = interpret(parse_rule(rule_name), NO_MEMORY, x).final.graph
             if cert not in fading_w:
-                cxs.append(
-                    Counterexample(rule_name, "none", x, None, "reachable under fading memory", to_json(g))
-                )
+                cxs.append(_counterexample(none_w[cert], "reachable under fading memory"))
             if cert not in full_w:
-                cxs.append(
-                    Counterexample(rule_name, "none", x, None, "reachable under full memory", to_json(g))
-                )
+                cxs.append(_counterexample(none_w[cert], "reachable under full memory"))
         for cert in sorted(fading_w):
             checked += 1
             if cert not in full_w:
-                rule_name, x = fading_w[cert]
-                g = interpret(parse_rule(rule_name), fading, x).final.graph
-                cxs.append(
-                    Counterexample(
-                        rule_name, "fading(2)", x, None, "reachable under full memory", to_json(g)
-                    )
-                )
+                cxs.append(_counterexample(fading_w[cert], "reachable under full memory"))
     return _report(
         "hierarchy", max_n, FULL_RULES, (NO_MEMORY, fading, FULL_MEMORY), checked, cxs, notes, started
     )

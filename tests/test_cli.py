@@ -216,3 +216,46 @@ def test_matrix_format_is_pure_bits() -> None:
     assert r.stdout == "111\n"
     r = run_cli("build", "--rule", "0>-,1>-", "--model", "none", "--x", "101", "--format", "matrix")
     assert r.stdout == "000\n"
+
+
+# Byte-exact `build --trace` output for a rewrite run and a fading-memory run.
+GOLDEN_TRACES = {
+    ("0>1,1>-", "modifiable", "00010", "ssssm"): (
+        '{"choices":"ssssm","cost":{"instruction_bits":5,"memory_bits":5,"random_bits":0},'
+        '"graph":{"edges":[[1,4],[2,4],[3,4],[4,5]],"n":5},"labels":[0,0,0,1,0],'
+        '"model":"modifiable","rule":"0>1,1>-","steps":['
+        '{"action":"1","added":[],"bit":0,"modified":false,"step":1},'
+        '{"action":"1","added":[],"bit":0,"modified":false,"step":2},'
+        '{"action":"1","added":[],"bit":0,"modified":false,"step":3},'
+        '{"action":"-","added":[],"bit":1,"modified":false,"step":4},'
+        '{"action":"1","added":[[1,4],[2,4],[3,4],[4,5]],"bit":0,"modified":true,"step":5}],'
+        '"x":"00010"}'
+    ),
+    ("0>E,1>1", "fading(2)", "10110", None): (
+        '{"choices":null,"cost":{"instruction_bits":5,"memory_bits":5,"random_bits":0},'
+        '"graph":{"edges":[[1,2],[1,5],[2,5],[3,4],[3,5],[4,5]],"n":5},"labels":[1,0,1,1,0],'
+        '"model":"fading(2)","rule":"0>E,1>1","steps":['
+        '{"action":"1","added":[],"bit":1,"modified":false,"step":1},'
+        '{"action":"E","added":[[1,2]],"bit":0,"modified":false,"step":2},'
+        '{"action":"1","added":[],"bit":1,"modified":false,"step":3},'
+        '{"action":"1","added":[[3,4]],"bit":1,"modified":false,"step":4},'
+        '{"action":"E","added":[[1,5],[2,5],[3,5],[4,5]],"bit":0,"modified":false,"step":5}],'
+        '"x":"10110"}'
+    ),
+}
+
+
+def test_build_trace_matches_golden_json(capsys) -> None:
+    for (rule, model, x, choices), want in GOLDEN_TRACES.items():
+        argv = ["build", "--rule", rule, "--model", model, "--x", x, "--trace"]
+        if choices is not None:
+            argv += ["--choices", choices]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
+def test_bounds_rejected_before_any_work(capsys) -> None:
+    assert main(["verify", "hierarchy", "--max-n", "-1"]) == 2
+    assert "max_n must be nonnegative" in capsys.readouterr().err
+    assert main(["likelihood", "--graph", "E0", "--mc", "10", "--seed", "1"]) == 2
+    assert "error" in capsys.readouterr().err

@@ -132,6 +132,11 @@ def test_class_counts() -> None:
         assert len({canonical_form(g) for g in classes}) == want
 
 
+def test_class_enumeration_rejects_negative_sizes() -> None:
+    with pytest.raises(ValueError):
+        enumerate_graph_classes(-1)
+
+
 def test_contains_induced() -> None:
     assert contains_induced(cycle_graph(5), path_graph(4))
     assert not contains_induced(complete_graph(5), path_graph(3))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +159,31 @@ def test_modifiable_worked_example() -> None:
     assert is_isomorphic(t.final.graph, complete_bipartite(1, 4))
     assert memory_modifiable_steps(t) == [5]
     assert is_memory_modifiable_output(t)
+
+
+def _rewrite_steps_by_isomorphism(trace) -> list[int]:
+    """Reference definition of a rewrite step: deleting vertex t from G_t
+    does not recover G_{t-1} up to isomorphism."""
+    per_step = trace.graphs_per_step()
+    return [
+        t
+        for t in range(1, len(per_step))
+        if not is_isomorphic(induced_subgraph(per_step[t], range(1, t)), per_step[t - 1])
+    ]
+
+
+def test_rewrite_steps_from_edge_records_match_isomorphism_definition() -> None:
+    traces = 0
+    for rule in FULL_RULES:
+        for n in range(7):
+            for bits in product("01", repeat=n):
+                x = "".join(bits)
+                options = ["sm" if rule.action_for(int(b)).join_target is not None else "s" for b in x]
+                for choices in product(*options):
+                    trace = interpret_modifiable(rule, x, "".join(choices))
+                    assert memory_modifiable_steps(trace) == _rewrite_steps_by_isomorphism(trace)
+                    traces += 1
+    assert traces == 21136
 
 
 def test_modifiable_stay_put_is_not_flagged() -> None:

@@ -146,6 +146,17 @@ def test_likelihood_mc_matches_exact_on_triangle() -> None:
     assert again.estimate == est.estimate
 
 
+def test_likelihood_mc_rejects_sizes_outside_the_exact_range() -> None:
+    # the 13-vertex target once failed only for seeds whose draws reached
+    # the isomorphism test
+    target = sample_vertex_addition(13, Uniform(), 5)
+    for seed in (4, 5):
+        with pytest.raises(ValueError):
+            likelihood_mc(target, samples=10, seed=seed)
+    with pytest.raises(ValueError):
+        likelihood_mc(empty_graph(0), samples=10, seed=1)
+
+
 def test_extremes_table_shape() -> None:
     table = likelihood_extremes(4)
     assert len(table.rows) == 11

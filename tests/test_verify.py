@@ -95,6 +95,22 @@ def test_find_constructions_replays() -> None:
     assert find_constructions(cycle_graph(5), FULL_MEMORY) == []
 
 
+def test_find_constructions_modifiable_lists_each_pair_once() -> None:
+    star = complete_bipartite(1, 4)
+    hits = find_constructions(star, MODIFIABLE)
+    assert len(hits) == 29
+    assert len(set(hits)) == len(hits)
+    assert ("0>1,1>-", "00010") in hits
+    full_hits = find_constructions(star, FULL_MEMORY)
+    assert len(full_hits) == 21
+    assert ("0>1,1>-", "00010") not in full_hits
+
+
+def test_hierarchy_report_rejects_negative_bound() -> None:
+    with pytest.raises(ValueError):
+        hierarchy_report(-1)
+
+
 def test_hierarchy_report_structure() -> None:
     report = hierarchy_report(5)
     # both containments in the smaller models hold...
