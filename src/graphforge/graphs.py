@@ -6,6 +6,12 @@ here is sized for exhaustive desk-scale verification (n up to about 12), not
 for large instances: isomorphism and automorphism counting are backtracking
 searches, and the canonical form is an exact partition-refinement search.
 
+Adjacency has one index, `Graph.rows`: rows[v] is the neighbour bitmask of
+v (bit u set when u ~ v), rows[0] == 0.  It is built from `edges` on first
+use and then kept; every algorithm that reads adjacency reads it.  A row is
+as wide as v's largest neighbour, so on a sparse graph the index takes about
+n^2/16 bytes; JSON output and `trees.is_recursive_tree` read `edges` instead.
+
 Two facts are computed by deliberately independent routes so they can be
 cross-checked: graph isomorphism (backtracking on adjacency) versus canonical
 form equality (refinement search), and threshold recognition by vertex
@@ -17,14 +23,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations
 from math import comb
 
 # Exact algorithms below enumerate permutations or subsets; these bounds keep
 # every operation tractable in pure Python.
 MAX_EXACT_N = 12
 MAX_AUTOMORPHISM_N = 10
+# The matrix format writes one character per vertex pair (n <= 5793).
+MAX_MATRIX_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -61,25 +69,25 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edges
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The adjacency index: rows[v] is the neighbour bitmask of v
+        (rows[0] == 0), built from `edges` on first use and then kept."""
+        rows = [0] * (self.n + 1)
         for i, j in self.edges:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return out
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(rows)
+
+    def neighbors(self, v: int) -> set[int]:
+        return set(_vertices(self.rows[v])) if 0 < v <= self.n else set()
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return self.rows[v].bit_count() if 0 < v <= self.n else 0
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees sorted descending."""
-        degs = [0] * (self.n + 1)
-        for i, j in self.edges:
-            degs[i] += 1
-            degs[j] += 1
-        return tuple(sorted(degs[1:], reverse=True))
+        return tuple(sorted((r.bit_count() for r in self.rows[1:]), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -184,48 +192,52 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
 # ---------------------------------------------------------------------------
 # bitmask internals
 # ---------------------------------------------------------------------------
-# A graph on n vertices is packed into an integer over the C(n,2) dyad
-# positions (i, j), i < j, enumerated row-major.  Rows are per-vertex
-# neighbour masks with bit v standing for vertex v.
+# Vertex sets are masks with bit v for vertex v, like the rows of `Graph.rows`.
+# Labelled-copy tables pack a graph on n vertices into an edge mask over the
+# C(n,2) dyad positions (i, j), i < j, enumerated row-major.
 
-@lru_cache(maxsize=None)
-def _dyads(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+def _vertices(mask: int) -> list[int]:
+    """The vertices in a vertex mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=None)
 def _dyad_pos(n: int) -> dict[tuple[int, int], int]:
-    return {pair: k for k, pair in enumerate(_dyads(n))}
+    pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+    return {pair: k for k, pair in enumerate(pairs)}
 
 
-def _edge_mask(g: Graph) -> int:
+def _labeled_copy_masks(g: Graph) -> set[int]:
+    """Edge masks of all distinct labelled graphs isomorphic to g, one per
+    relabelling class: the loop runs over all n! permutations."""
     pos = _dyad_pos(g.n)
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << pos[e]
-    return mask
-
-
-def _mask_to_graph(n: int, mask: int) -> Graph:
-    dyads = _dyads(n)
-    return Graph(n, frozenset(dyads[k] for k in range(len(dyads)) if (mask >> k) & 1))
-
-
-def _rows(g: Graph) -> list[int]:
-    rows = [0] * (g.n + 1)
-    for i, j in g.edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return rows
+    base = [(i - 1, j - 1) for i, j in g.sorted_edges()]
+    masks: set[int] = set()
+    for perm in permutations(range(1, g.n + 1)):
+        m = 0
+        for a, b in base:
+            pa, pb = perm[a], perm[b]
+            m |= 1 << pos[(pa, pb) if pa < pb else (pb, pa)]
+        masks.add(m)
+    return masks
 
 
 # ---------------------------------------------------------------------------
 # isomorphism and automorphisms (backtracking route)
 # ---------------------------------------------------------------------------
 
-def _neighbor_degree_profile(g: Graph) -> dict[int, tuple[int, ...]]:
-    degs = {v: g.degree(v) for v in range(1, g.n + 1)}
-    return {v: tuple(sorted(degs[u] for u in g.neighbors(v))) for v in range(1, g.n + 1)}
+def _signatures(g: Graph) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Per-vertex invariant: the degree, then the sorted neighbour degrees."""
+    degs = [r.bit_count() for r in g.rows]
+    return {
+        v: (degs[v], tuple(sorted(degs[u] for u in _vertices(g.rows[v]))))
+        for v in range(1, g.n + 1)
+    }
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -240,10 +252,8 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return True
     if g.degree_sequence() != h.degree_sequence():
         return False
-    pg = _neighbor_degree_profile(g)
-    ph = _neighbor_degree_profile(h)
-    sig_g = {v: (g.degree(v), pg[v]) for v in pg}
-    sig_h = {v: (h.degree(v), ph[v]) for v in ph}
+    sig_g = _signatures(g)
+    sig_h = _signatures(h)
     if sorted(sig_g.values()) != sorted(sig_h.values()):
         return False
     return _find_mapping(g, h, sig_g, sig_h, count_all=False) > 0
@@ -255,15 +265,14 @@ def automorphism_count(g: Graph) -> int:
         raise ValueError(f"automorphism counting supported for n <= {MAX_AUTOMORPHISM_N}")
     if g.n == 0:
         return 1
-    prof = _neighbor_degree_profile(g)
-    sig = {v: (g.degree(v), prof[v]) for v in prof}
+    sig = _signatures(g)
     return _find_mapping(g, g, sig, sig, count_all=True)
 
 
 def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
     n = g.n
-    rows_g = _rows(g)
-    rows_h = _rows(h)
+    rows_g = g.rows
+    rows_h = h.rows
     # Assign scarce signatures first to prune early.
     order = sorted(range(1, n + 1), key=lambda v: (sorted(sig_g.values()).count(sig_g[v]), -g.degree(v)))
     candidates = {v: [u for u in range(1, n + 1) if sig_h[u] == sig_g[v]] for v in order}
@@ -307,6 +316,7 @@ def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
 # individualisation-refinement search.  The visited set is closed under
 # isomorphism, so the certificate is equal exactly for isomorphic graphs.
 
+# The cache key packs the rows into one int, n bits per row.
 _CANON_CACHE: dict[tuple[int, int], bytes] = {}
 
 
@@ -316,8 +326,7 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n <= 1:
         return f"{n}:".encode()
-    mask = _edge_mask(g)
-    key = (n, mask)
+    key = (n, sum(r << (v * n) for v, r in enumerate(g.rows)))
     cached = _CANON_CACHE.get(key)
     if cached is not None:
         return cached
@@ -328,13 +337,13 @@ def canonical_form(g: Graph) -> bytes:
     elif m == total:
         bits = "1" * total
     else:
-        bits = _canon_search(n, _rows(g))
+        bits = _canon_search(n, g.rows)
     cert = f"{n}:{bits}".encode()
     _CANON_CACHE[key] = cert
     return cert
 
 
-def _refine(rows: list[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Equitable refinement; splits are ordered by neighbour count, so the
     resulting ordered partition is invariant under vertex relabelling."""
     while True:
@@ -364,7 +373,7 @@ def _refine(rows: list[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ..
             return cells
 
 
-def _pairwise_twins(rows: list[int], cell: tuple[int, ...]) -> bool:
+def _pairwise_twins(rows: tuple[int, ...], cell: tuple[int, ...]) -> bool:
     """True when every pair in the cell has identical neighbourhoods outside
     the pair; then all orderings of the cell are automorphic."""
     for a, b in combinations(cell, 2):
@@ -374,7 +383,7 @@ def _pairwise_twins(rows: list[int], cell: tuple[int, ...]) -> bool:
     return True
 
 
-def _canon_search(n: int, rows: list[int]) -> str:
+def _canon_search(n: int, rows: tuple[int, ...]) -> str:
     best: list[str | None] = [None]
 
     def leaf(order: list[int]) -> None:
@@ -435,27 +444,16 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
 # induced-subgraph containment
 # ---------------------------------------------------------------------------
 
-_SMALL_MASK_CACHE: dict[bytes, frozenset[int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _small_iso_masks(h: Graph) -> frozenset[int]:
     """All edge masks on |V(h)| labelled vertices isomorphic to h (|V| <= 4)."""
-    key = canonical_form(h)
-    hit = _SMALL_MASK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    k = h.n
-    masks = frozenset(
-        m for m in range(1 << comb(k, 2)) if is_isomorphic(_mask_to_graph(k, m), h)
-    )
-    _SMALL_MASK_CACHE[key] = masks
-    return masks
+    return frozenset(_labeled_copy_masks(h))
 
 
 def _induces_mask_in(g: Graph, k: int, table: frozenset[int]) -> bool:
     """True when some k-subset of g induces an edge mask (on positions
     1..k in subset order) that lies in table."""
-    rows = _rows(g)
+    rows = g.rows
     dyad_pos = _dyad_pos(k)
     for subset in combinations(range(1, g.n + 1), k):
         m = 0
@@ -496,22 +494,16 @@ def contains_induced(g: Graph, h: Graph) -> bool:
 def is_threshold(g: Graph) -> bool:
     """Elimination route: repeatedly delete an isolated or dominating vertex;
     the graph is threshold exactly when this empties it."""
-    alive = set(range(1, g.n + 1))
-    adj = {v: g.neighbors(v) for v in alive}
+    rows = g.rows
+    alive = (1 << (g.n + 1)) - 2
     while alive:
-        pick = None
-        full = len(alive) - 1
-        for v in alive:
-            d = len(adj[v])
-            if d == 0 or d == full:
-                pick = v
+        full = alive.bit_count() - 1
+        for v in _vertices(alive):
+            if (rows[v] & alive).bit_count() in (0, full):
                 break
-        if pick is None:
+        else:
             return False
-        for u in adj[pick]:
-            adj[u].discard(pick)
-        del adj[pick]
-        alive.discard(pick)
+        alive ^= 1 << v
     return True
 
 
@@ -531,27 +523,19 @@ def is_threshold_by_forbidden(g: Graph) -> bool:
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the components, each sorted, ordered by least vertex."""
-    rows = _rows(g)
-    seen: set[int] = set()
+    rows = g.rows
+    unseen = (1 << (g.n + 1)) - 2
     out = []
-    for start in range(1, g.n + 1):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            mask = rows[v]
-            u = 1
-            while mask >> u:
-                if (mask >> u) & 1 and u not in comp:
-                    stack.append(u)
-                u += 1
-        seen |= comp
-        out.append(tuple(sorted(comp)))
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rows[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        unseen &= ~comp
+        out.append(tuple(_vertices(comp)))
     return out
 
 
@@ -602,7 +586,8 @@ def to_dot(g: Graph) -> str:
 
 def to_bitstring(g: Graph) -> str:
     """Upper-triangle adjacency bits, row-major; empty string for n <= 1."""
-    rows = _rows(g)
-    return "".join(
-        "1" if (rows[i] >> j) & 1 else "0" for i, j in _dyads(g.n)
-    )
+    n = g.n
+    if comb(n, 2) > MAX_MATRIX_BITS:
+        raise ValueError(f"matrix output supports C(n,2) <= {MAX_MATRIX_BITS} bits (n <= 5793), got n={n}")
+    # Bits i+1..n of row i, lowest first: the row shifted and reversed.
+    return "".join(format(g.rows[i] >> (i + 1), f"0{n - i}b")[::-1] for i in range(1, n))

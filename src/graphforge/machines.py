@@ -32,8 +32,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
 from .graphs import Graph, empty_graph, to_json_obj
+
+# Worst-case edge count of one run: n - 1 under fading(2) without
+# DominateAll, C(n, 2) otherwise (a dense 1448-bit run fits).
+MAX_BUILD_EDGES = 1 << 20
 
 
 class InvalidActionForModel(ValueError):
@@ -309,9 +314,14 @@ def _run(
 ) -> ConstructionTrace:
     """The step loop shared by every memory model. `choices` is None outside
     the modifiable model. Each step records only edges not already present."""
+    n = len(labels)
+    dominates = Action.DOMINATE_ALL in (rule.action_for(0), rule.action_for(1))
+    worst = n - 1 if model.kind == "fading" and not dominates else comb(n, 2)
+    if worst > MAX_BUILD_EDGES:
+        raise ValueError(f"a {n}-bit run under {model} may build {worst} edges; limit {MAX_BUILD_EDGES}")
     steps: list[StepRecord] = []
     edges: set[tuple[int, int]] = set()
-    for t in range(1, len(labels) + 1):
+    for t in range(1, n + 1):
         bit = labels[t - 1]
         action = rule.action_for(bit)
         c = action.join_target
@@ -338,7 +348,7 @@ def _run(
         edges.update(added)
         steps.append(StepRecord(t, bit, action, modify, tuple(sorted(added))))
 
-    final = LabeledGraph(Graph(len(labels), frozenset(edges)), labels)
+    final = LabeledGraph(Graph(n, frozenset(edges)), labels)
     return ConstructionTrace(rule, model, x, choices, tuple(steps), final)
 
 

@@ -35,7 +35,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
 from .graphs import (
@@ -47,6 +46,7 @@ from .graphs import (
     enumerate_graph_classes,
     is_isomorphic,
     _dyad_pos,
+    _labeled_copy_masks,
 )
 
 # ---------------------------------------------------------------------------
@@ -117,19 +117,9 @@ MAX_LIKELIHOOD_N = 7  # labelled-copy enumeration iterates n! permutations
 def distinct_labeled_copies(g: Graph) -> list[int]:
     """Edge masks of all distinct labelled graphs isomorphic to g; the count
     equals n!/|Aut(g)|."""
-    n = g.n
-    if n > MAX_LIKELIHOOD_N:
+    if g.n > MAX_LIKELIHOOD_N:
         raise ValueError(f"labelled-copy enumeration supported for n <= {MAX_LIKELIHOOD_N}")
-    pos = _dyad_pos(n)
-    base = [(i - 1, j - 1) for i, j in g.sorted_edges()]
-    masks: set[int] = set()
-    for perm in permutations(range(1, n + 1)):
-        m = 0
-        for a, b in base:
-            pa, pb = perm[a], perm[b]
-            m |= 1 << pos[(pa, pb) if pa < pb else (pb, pa)]
-        masks.add(m)
-    return sorted(masks)
+    return sorted(_labeled_copy_masks(g))
 
 
 def _down_masks(n: int) -> list[int]:

@@ -31,10 +31,9 @@ from .graphs import (
     canonical_form,
     is_isomorphic,
     is_tree,
-    _mask_to_graph,
 )
 from .machines import ResourceCost
-from .randomness import MAX_LIKELIHOOD_N, distinct_labeled_copies
+from .randomness import MAX_LIKELIHOOD_N, _down_masks, distinct_labeled_copies
 
 MAX_TREE_CLASS_N = 7  # class enumeration walks all n^(n-2) Pruefer sequences
 
@@ -84,35 +83,27 @@ def sample_ua(n: int, seed: int) -> Graph:
 
 
 def is_recursive_tree(g: Graph) -> bool:
-    """True when g is a tree and, walking from vertex 1, every vertex's
-    neighbour toward the root has a smaller label (equivalently the labels
-    along every root path increase).  This re-derives the parent relation by
-    search instead of trusting any construction record."""
-    if not is_tree(g):
-        return False
-    parent = _parents_toward_root(g)
-    return all(parent[v] < v for v in range(2, g.n + 1))
-
-
-def _parents_toward_root(g: Graph) -> dict[int, int]:
-    """Each vertex's neighbour on its path to vertex 1 in the tree g; vertex
-    1 maps to 0."""
-    parent = {1: 0}
-    queue = [1]
-    while queue:
-        v = queue.pop()
-        for u in g.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                queue.append(u)
-    return parent
+    """True when g is a tree whose labels increase along every path from
+    vertex 1.  Equivalently, every vertex t >= 2 has exactly one smaller
+    neighbour, i.e. the larger endpoints of the edges are 2..n, each once:
+    then g has n - 1 edges and smaller neighbours lead every vertex to 1,
+    and in a recursive tree the parent is the only smaller neighbour, since
+    children carry larger labels.  Reads only the edge set, in O(m log m)."""
+    return g.n >= 1 and sorted(j for _, j in g.edges) == list(range(2, g.n + 1))
 
 
 def root_path(g: Graph, v: int) -> tuple[int, ...]:
     """The unique path from vertex 1 to v in a tree, endpoints included."""
     if not is_tree(g):
         raise ValueError("root paths are defined for trees only")
-    parent = _parents_toward_root(g)
+    parent = {1: 0}  # each vertex's neighbour toward vertex 1, found by search
+    queue = [1]
+    while queue:
+        u = queue.pop()
+        for w in g.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
     path = [v]
     while path[-1] != 1:
         path.append(parent[path[-1]])
@@ -190,8 +181,10 @@ def ua_likelihood_exact(t_graph: Graph) -> Fraction:
         raise ValueError(f"exact tree likelihood supported for n <= {MAX_LIKELIHOOD_N}")
     if n == 1:
         return Fraction(1)
+    down = _down_masks(n)  # a copy is recursive when each t >= 2 has one smaller neighbour
     recursive = sum(
-        1 for mask in distinct_labeled_copies(t_graph) if is_recursive_tree(_mask_to_graph(n, mask))
+        all((mask & down[t]).bit_count() == 1 for t in range(2, n + 1))
+        for mask in distinct_labeled_copies(t_graph)
     )
     return Fraction(recursive, factorial(n - 1))
 

@@ -198,6 +198,8 @@ def _runs(rule: RuleSet, model: MemoryModel, n: int):
 
 
 def _check_enumeration_bound(model: MemoryModel, n: int, what: str) -> None:
+    if n < 0:
+        raise ValueError(f"{what} needs n >= 0, got {n}")
     if n > 12 or (model.kind == "modifiable" and n > 7):
         raise ValueError(f"{what} bounds: n <= 12, modifiable n <= 7")
 

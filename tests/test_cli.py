@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from graphforge import graphs
 from graphforge.cli import main, parse_graph_spec
 from graphforge.graphs import (
     complete_bipartite,
@@ -259,3 +261,22 @@ def test_bounds_rejected_before_any_work(capsys) -> None:
     assert "max_n must be nonnegative" in capsys.readouterr().err
     assert main(["likelihood", "--graph", "E0", "--mc", "10", "--seed", "1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_matrix_format_exits_2_above_cap(capsys, monkeypatch) -> None:
+    # n = 5794 is the first size whose C(n, 2) bits exceed MAX_MATRIX_BITS
+    assert main(["tree", "sample", "--n", "5794", "--seed", "1", "--format", "matrix"]) == 2
+    assert "matrix output supports" in capsys.readouterr().err
+    x = "01" * 2897  # a fading(2) label join: 5793 edges, under the build cap
+    assert main(["build", "--rule", "0>1,1>0", "--model", "fading(2)", "--x", x, "--format", "matrix"]) == 2
+    assert "matrix output supports" in capsys.readouterr().err
+    # every sampler reaches the same check; a lowered cap keeps this fast
+    monkeypatch.setattr(graphs, "MAX_MATRIX_BITS", comb(50, 2) - 1)
+    for argv in (
+        ["random", "gnp", "--n", "50", "--p", "1/2"],
+        ["random", "va", "--n", "50"],
+        ["tree", "sample", "--n", "50"],
+    ):
+        assert main([*argv, "--seed", "1", "--format", "matrix"]) == 2
+        assert main([*argv, "--seed", "1", "--format", "json"]) == 0
+    assert main(["random", "va", "--n", "49", "--seed", "1", "--format", "matrix"]) == 0

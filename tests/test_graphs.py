@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphforge.graphs import (
+    MAX_MATRIX_BITS,
     Graph,
     automorphism_count,
     canonical_form,
@@ -32,9 +34,12 @@ from graphforge.graphs import (
     linear_forest,
     path_graph,
     relabel,
+    to_bitstring,
     to_dot,
     to_json,
+    _small_iso_masks,
 )
+from graphforge.trees import sample_ua
 
 # Isomorphism-class counts for simple graphs on n = 1..6 vertices.
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -194,3 +199,103 @@ def test_dot_output_mentions_every_edge() -> None:
     text = to_dot(path_graph(3))
     assert "1 -- 2" in text and "2 -- 3" in text
     assert text.startswith("graph")
+
+
+def test_matrix_output_cap() -> None:
+    # C(5793, 2) = 16,776,528 fits under MAX_MATRIX_BITS; C(5794, 2) does not
+    assert len(to_bitstring(empty_graph(5793))) == 16_776_528 <= MAX_MATRIX_BITS
+    with pytest.raises(ValueError, match="matrix output supports"):
+        to_bitstring(path_graph(5794))
+    assert to_bitstring(path_graph(4)) == "100101"
+    assert to_bitstring(empty_graph(1)) == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equal_certificates_imply_isomorphic(data) -> None:
+    # Independent draws on the same n, not relabellings of one graph, so both
+    # outcomes of the comparison occur.
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    dyads = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    draw = st.sets(st.sampled_from(dyads)) if dyads else st.just(set())
+    g = Graph(n, frozenset(data.draw(draw)))
+    h = Graph(n, frozenset(data.draw(draw)))
+    assert (canonical_form(g) == canonical_form(h)) == is_isomorphic(g, h)
+
+
+def test_certificates_and_isomorphism_agree_on_all_pairs_n4() -> None:
+    graphs = [_mask_graph(4, m) for m in range(1 << 6)]
+    outcomes = set()
+    for g in graphs:
+        for h in graphs:
+            same = canonical_form(g) == canonical_form(h)
+            assert same == is_isomorphic(g, h)
+            outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the adjacency index against definitions read from the edge set
+# ---------------------------------------------------------------------------
+
+def _mask_graph(n: int, mask: int) -> Graph:
+    """The labelled graph whose edges are the set bits of mask over the
+    dyads (i, j), i < j, in row-major order."""
+    dyads = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return Graph(n, frozenset(d for k, d in enumerate(dyads) if (mask >> k) & 1))
+
+
+def _reference_components(g: Graph) -> list[tuple[int, ...]]:
+    adj = {v: {u for e in g.edges if v in e for u in e if u != v} for v in range(1, g.n + 1)}
+    seen: set[int] = set()
+    out = []
+    for start in range(1, g.n + 1):
+        if start not in seen:
+            comp, stack = {start}, [start]
+            while stack:
+                for u in adj[stack.pop()] - comp:
+                    comp.add(u)
+                    stack.append(u)
+            seen |= comp
+            out.append(tuple(sorted(comp)))
+    return out
+
+
+def _assert_index_matches_edges(g: Graph) -> None:
+    for v in range(1, g.n + 1):
+        want = {j if i == v else i for i, j in g.edges if v in (i, j)}
+        assert g.neighbors(v) == want
+        assert g.degree(v) == len(want)
+    degs = [sum(1 for e in g.edges if v in e) for v in range(1, g.n + 1)]
+    assert g.degree_sequence() == tuple(sorted(degs, reverse=True))
+    assert connected_components(g) == _reference_components(g)
+    assert g.rows[0] == 0 and len(g.rows) == g.n + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_adjacency_index_matches_edge_definitions(data) -> None:
+    n = data.draw(st.integers(min_value=0, max_value=40))
+    dyads = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    picked = data.draw(st.sets(st.sampled_from(dyads), max_size=60) if dyads else st.just(set()))
+    _assert_index_matches_edges(Graph(n, frozenset(picked)))
+
+
+def test_adjacency_index_on_trees_and_out_of_range_vertices() -> None:
+    for n, seed in ((1, 0), (2, 1), (40, 2), (300, 3)):
+        _assert_index_matches_edges(sample_ua(n, seed))
+    g = path_graph(3)
+    for v in (-1, 0, 4):
+        assert g.neighbors(v) == set() and g.degree(v) == 0
+    # the index is not a field: equality, hashing and JSON ignore it
+    h = path_graph(3)
+    assert g.rows == h.rows and g == h and hash(g) == hash(h)
+    assert to_json(g) == '{"edges":[[1,2],[2,3]],"n":3}'
+
+
+def test_small_iso_masks_match_isomorphism_scan() -> None:
+    for k in range(5):
+        for hmask in range(1 << comb(k, 2)):
+            h = _mask_graph(k, hmask)
+            scan = {m for m in range(1 << comb(k, 2)) if is_isomorphic(_mask_graph(k, m), h)}
+            assert _small_iso_masks(h) == scan

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import time
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphforge.cli import main as cli_main
 from graphforge.graphs import (
     complete_bipartite,
     complete_graph,
@@ -18,6 +21,7 @@ from graphforge.graphs import (
 from graphforge.machines import (
     FULL_MEMORY,
     FULL_RULES,
+    MAX_BUILD_EDGES,
     MODIFIABLE,
     NO_MEMORY,
     NO_MEMORY_RULES,
@@ -221,3 +225,26 @@ def test_trace_json_is_self_describing() -> None:
     assert obj["graph"]["n"] == 5
     assert len(obj["steps"]) == 5
     assert obj["cost"]["instruction_bits"] == 5
+
+
+def test_build_edge_cap_boundary() -> None:
+    # C(1448, 2) = 1,047,628 fits under MAX_BUILD_EDGES; C(1449, 2) does not,
+    # whatever the rule actually adds.
+    assert comb(1448, 2) <= MAX_BUILD_EDGES < comb(1449, 2)
+    rule = parse_rule("0>-,1>-")
+    assert interpret(rule, FULL_MEMORY, "0" * 1448).final.graph == empty_graph(1448)
+    with pytest.raises(ValueError, match="may build 1049076 edges"):
+        interpret(rule, FULL_MEMORY, "0" * 1449)
+    with pytest.raises(ValueError, match="may build"):
+        interpret_modifiable(parse_rule("0>1,1>-"), "0" * 1449, "s" * 1449)
+    # fading(2) label joins add at most n - 1 edges; DominateAll lifts that
+    assert interpret(parse_rule("0>1,1>0"), fading_memory(2), "01" * 4000).final.graph.edge_count == 7999
+
+
+def test_cli_build_over_edge_cap_exits_2_at_once(capsys) -> None:
+    start = time.perf_counter()
+    assert cli_main(["build", "--rule", "0>E,1>E", "--model", "fading(2)", "--x", "0" * 8000]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "may build 31996000 edges" in capsys.readouterr().err
+    assert cli_main(["build", "--rule", "0>-,1>-", "--model", "full", "--x", "1" * 1449]) == 2
+    assert cli_main(["build", "--rule", "0>-,1>-", "--model", "full", "--x", "1" * 1448]) == 0

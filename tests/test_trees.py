@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphforge.graphs import (
+    Graph,
     canonical_form,
     complete_bipartite,
     cycle_graph,
     is_isomorphic,
     path_graph,
+    relabel,
 )
+from graphforge.randomness import distinct_labeled_copies
 from graphforge.trees import (
     ParentVector,
     build_tree_from_instructions,
@@ -180,3 +185,72 @@ def test_parent_bit_codec_round_trip() -> None:
         decode_parent_bits("0", 3)  # too short for two parent fields
     with pytest.raises(ValueError):
         decode_parent_bits("011", 3)  # second field decodes to parent 2+1=3
+
+
+# ---------------------------------------------------------------------------
+# the edge rule for recursive trees against the search definition
+# ---------------------------------------------------------------------------
+
+def _recursive_by_search(g: Graph) -> bool:
+    """The search definition, from edges alone: g is a tree, and walking
+    from vertex 1 every vertex's neighbour toward the root is smaller."""
+    if g.n < 1 or len(g.edges) != g.n - 1:
+        return False
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    parent = {1: 0}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    return len(parent) == g.n and all(parent[v] < v for v in range(2, g.n + 1))
+
+
+def test_is_recursive_tree_matches_search_on_every_small_graph() -> None:
+    checked = recursive = 0
+    for n in range(7):
+        dyads = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        for mask in range(1 << len(dyads)):
+            g = Graph(n, frozenset(d for k, d in enumerate(dyads) if (mask >> k) & 1))
+            want = _recursive_by_search(g)
+            assert is_recursive_tree(g) == want, g
+            checked += 1
+            recursive += want
+    assert checked == 33_868
+    assert recursive == sum(factorial(n - 1) for n in range(1, 7))
+
+
+def test_is_recursive_tree_matches_search_on_relabelled_ua_trees() -> None:
+    rng = random.Random(5)
+    outcomes = set()
+    for n in (1, 2, 3, 10, 50, 200):
+        for seed in range(20):
+            t = sample_ua(n, seed)
+            image = list(range(1, n + 1))
+            if seed % 2:
+                rng.shuffle(image)
+            else:  # swap two labels: some of these stay recursive
+                a, b = rng.randrange(n), rng.randrange(n)
+                image[a], image[b] = image[b], image[a]
+            g = relabel(t, {v: image[v - 1] for v in range(1, n + 1)})
+            want = _recursive_by_search(g)
+            assert is_recursive_tree(g) == want
+            outcomes.add((n >= 50, want))
+            assert is_recursive_tree(t) and _recursive_by_search(t)
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_ua_likelihood_matches_copy_count_by_search() -> None:
+    for n in range(2, 8):
+        for t in enumerate_tree_classes(n):
+            dyads = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+            count = sum(
+                _recursive_by_search(Graph(n, frozenset(d for k, d in enumerate(dyads) if (m >> k) & 1)))
+                for m in distinct_labeled_copies(t)
+            )
+            assert ua_likelihood_exact(t) == Fraction(count, factorial(n - 1))

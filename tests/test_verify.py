@@ -139,3 +139,14 @@ def test_hierarchy_report_serializes() -> None:
 def test_modifiable_outputs_within_bound() -> None:
     outs = enumerate_outputs(parse_rule("0>1,1>-"), MODIFIABLE, 4)
     assert len(outs) >= len(enumerate_outputs(parse_rule("0>1,1>-"), FULL_MEMORY, 4))
+
+
+def test_enumeration_rejects_negative_sizes() -> None:
+    rule = parse_rule("0>1,1>-")
+    with pytest.raises(ValueError, match="output enumeration needs n >= 0, got -1"):
+        enumerate_outputs(rule, FULL_MEMORY, -1)
+    with pytest.raises(ValueError, match="output enumeration needs n >= 0, got -1"):
+        reachable_classes(FULL_MEMORY, -1)
+    # the upper-bound message is unchanged
+    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+        enumerate_outputs(rule, MODIFIABLE, 8)
