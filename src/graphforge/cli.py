@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact, Monte-Carlo, or extremal likelihood under the uniform vertex-addition process",
         description="The likelihood of a graph is the probability that the uniform "
         "vertex-addition process produces something isomorphic to it. "
-        "--exact sums the per-labelled-copy products in exact rationals (n <= 7); "
+        "--exact reads the exact rational law of the process on isomorphism classes (n <= 7); "
         "--bounds derives two-sided automorphism bounds; --extremes tabulates every "
         "isomorphism class at size n. " + GRAPH_SPEC_HELP,
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb
@@ -415,20 +416,25 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    if n == 0:
-        return (empty_graph(0),)
-    reps: dict[bytes, Graph] = {canonical_form(empty_graph(1)): empty_graph(1)}
-    for size in range(2, n + 1):
-        grown: dict[bytes, Graph] = {}
-        for g in reps.values():
-            for attach_mask in range(1 << (size - 1)):
-                h = add_vertex(g, [v for v in range(1, size) if (attach_mask >> (v - 1)) & 1])
-                key = canonical_form(h)
-                if key not in grown:
-                    grown[key] = h
-        reps = grown
-    return tuple(reps[k] for k in sorted(reps))
+def _class_law(n: int, tree: bool = False) -> dict[bytes, tuple[Graph, Fraction]]:
+    """The law of the uniform vertex-addition process on n vertices, or of
+    uniform attachment when `tree` is set: certificate -> (first
+    representative found, exact probability).  Both processes treat every
+    labelling alike, so the law at n is the law at n - 1 pushed through each
+    attach set of vertex n: a k-set has probability 1/(n * C(n-1, k)), and
+    under uniform attachment only k = 1 occurs, with probability 1/(n-1)."""
+    if n <= 1:
+        g = empty_graph(n)
+        return {canonical_form(g): (g, Fraction(1))}
+    law: dict[bytes, tuple[Graph, Fraction]] = {}
+    masks = [1 << v for v in range(n - 1)] if tree else range(1 << (n - 1))
+    for g, p in _class_law(n - 1, tree).values():
+        for attach_mask in masks:
+            h = add_vertex(g, _vertices(attach_mask << 1))
+            key = canonical_form(h)
+            rep, q = law.get(key, (h, 0))
+            law[key] = (rep, q + p / (n - 1 if tree else n * comb(n - 1, attach_mask.bit_count())))
+    return law
 
 
 def enumerate_graph_classes(n: int) -> list[Graph]:
@@ -437,7 +443,8 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
     Deterministic order (sorted by canonical certificate)."""
     if not 0 <= n <= 7:
         raise ValueError("class enumeration supported for 0 <= n <= 7")
-    return list(_graph_classes(n))
+    law = _class_law(n)
+    return [law[key][0] for key in sorted(law)]
 
 
 # ---------------------------------------------------------------------------

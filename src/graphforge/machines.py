@@ -36,8 +36,8 @@ from math import comb
 
 from .graphs import Graph, empty_graph, to_json_obj
 
-# Worst-case edge count of one run: n - 1 under fading(2) without
-# DominateAll, C(n, 2) otherwise (a dense 1448-bit run fits).
+# Worst-case edge count of one run (n - 1 under fading(2) without
+# DominateAll, else C(n, 2)) or G(n,p)/vertex-addition sample (C(n, 2)).
 MAX_BUILD_EDGES = 1 << 20
 
 
@@ -309,6 +309,12 @@ def interpret_modifiable(rule: RuleSet, x: str, choices) -> ConstructionTrace:
     return _run(rule, MODIFIABLE, x, labels, _normalize_choices(choices, len(x)))
 
 
+def _check_edge_cap(worst: int, what: str) -> None:
+    """Refuse, before any work, what may build more than MAX_BUILD_EDGES edges."""
+    if worst > MAX_BUILD_EDGES:
+        raise ValueError(f"{what} may build {worst} edges; limit {MAX_BUILD_EDGES}")
+
+
 def _run(
     rule: RuleSet, model: MemoryModel, x: str, labels: tuple[int, ...], choices: str | None
 ) -> ConstructionTrace:
@@ -317,8 +323,7 @@ def _run(
     n = len(labels)
     dominates = Action.DOMINATE_ALL in (rule.action_for(0), rule.action_for(1))
     worst = n - 1 if model.kind == "fading" and not dominates else comb(n, 2)
-    if worst > MAX_BUILD_EDGES:
-        raise ValueError(f"a {n}-bit run under {model} may build {worst} edges; limit {MAX_BUILD_EDGES}")
+    _check_edge_cap(worst, f"a {n}-bit run under {model}")
     steps: list[StepRecord] = []
     edges: set[tuple[int, int]] = set()
     for t in range(1, n + 1):

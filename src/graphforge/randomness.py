@@ -16,10 +16,13 @@ copies H of G of
 
     prod_{t=2..n}  (1/t) * C(t-1, indeg_H(t))^(-1)
 
-where indeg_H(t) counts neighbours of t smaller than t.  Lower and upper
-bounds come from the automorphism count: the number of labelled copies is
-n!/|Aut(G)|, each copy's probability is at most 1/n! and at least
-1/(n! * prod_i C(i-1, floor((i-1)/2))).
+where indeg_H(t) counts neighbours of t smaller than t.  That sum is the
+definition, not the computation: the process treats every labelling alike,
+so it is a Markov chain on isomorphism classes, and `graphs._class_law`
+pushes the exact law at n-1 through every attach set to get the law at n.
+Lower and upper bounds come from the automorphism count: the number of
+labelled copies is n!/|Aut(G)|, each copy's probability is at most 1/n! and
+at least 1/(n! * prod_i C(i-1, floor((i-1)/2))).
 
 randomness_cost_a(n) is the running bit cost of driving the uniform process
 with a stream of fair coins: at step t, drawing the in-degree costs
@@ -35,7 +38,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 from .graphs import (
     MAX_EXACT_N,
@@ -43,11 +46,11 @@ from .graphs import (
     automorphism_count,
     canonical_form,
     complete_bipartite,
-    enumerate_graph_classes,
     is_isomorphic,
-    _dyad_pos,
+    _class_law,
     _labeled_copy_masks,
 )
+from .machines import _check_edge_cap
 
 # ---------------------------------------------------------------------------
 # in-degree distributions
@@ -66,11 +69,19 @@ class Binomial:
     p: Fraction | float
 
 
+def _coin_threshold(p) -> float:
+    """A float T with random() < T exactly when random() < p, so a coin
+    costs a float comparison, not a Fraction one: random() is k / 2**53 for
+    an integer k, k < p * 2**53 iff k < ceil(p * 2**53), a float-exact int."""
+    return ceil(Fraction(p) * 2**53) / 2**53
+
+
 def _draw_in_degree(dist, rng: random.Random, t: int) -> int:
     if isinstance(dist, Uniform):
         return rng.randrange(t)
     if isinstance(dist, Binomial):
-        return sum(rng.random() < dist.p for _ in range(t - 1))
+        threshold = _coin_threshold(dist.p)
+        return sum(rng.random() < threshold for _ in range(t - 1))
     raise ValueError(f"unknown in-degree distribution: {dist!r}")
 
 
@@ -80,9 +91,11 @@ def _draw_in_degree(dist, rng: random.Random, t: int) -> int:
 
 def sample_gnp(n: int, p, seed: int) -> Graph:
     """One draw of G(n, p): an independent biased coin per vertex pair."""
+    _check_edge_cap(n * (n - 1) // 2, f"a {n}-vertex sample")
+    threshold = _coin_threshold(p)
     rng = random.Random(seed)
     edges = frozenset(
-        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < p
+        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < threshold
     )
     return Graph(n, edges)
 
@@ -103,6 +116,7 @@ def sample_vertex_addition(n: int, dist, seed: int) -> Graph:
     subset of earlier vertices of that size."""
     if n < 1:
         raise ValueError("process needs at least one vertex")
+    _check_edge_cap(n * (n - 1) // 2, f"a {n}-vertex sample")
     rng = random.Random(seed)
     return Graph(n, frozenset(_sample_va_edges(n, dist, rng)))
 
@@ -111,7 +125,7 @@ def sample_vertex_addition(n: int, dist, seed: int) -> Graph:
 # exact likelihood under the uniform vertex-addition process
 # ---------------------------------------------------------------------------
 
-MAX_LIKELIHOOD_N = 7  # labelled-copy enumeration iterates n! permutations
+MAX_LIKELIHOOD_N = 7  # labelled copies iterate n! permutations; class laws exist for n <= 7
 
 
 def distinct_labeled_copies(g: Graph) -> list[int]:
@@ -122,30 +136,15 @@ def distinct_labeled_copies(g: Graph) -> list[int]:
     return sorted(_labeled_copy_masks(g))
 
 
-def _down_masks(n: int) -> list[int]:
-    """down[t] has the bits of all dyad positions (i, t), i < t."""
-    pos = _dyad_pos(n)
-    down = [0] * (n + 1)
-    for (i, j), k in pos.items():
-        down[j] |= 1 << k
-    return down
-
-
 def likelihood_exact(g: Graph) -> Fraction:
     """Probability the uniform vertex-addition process on n = |V(g)| vertices
     produces a graph isomorphic to g."""
     n = g.n
     if n == 0:
         raise ValueError("likelihood needs at least one vertex")
-    down = _down_masks(n)
-    total = Fraction(0)
-    for mask in distinct_labeled_copies(g):
-        pr = Fraction(1)
-        for t in range(2, n + 1):
-            d = (mask & down[t]).bit_count()
-            pr /= t * comb(t - 1, d)
-        total += pr
-    return total
+    if n > MAX_LIKELIHOOD_N:
+        raise ValueError(f"labelled-copy enumeration supported for n <= {MAX_LIKELIHOOD_N}")
+    return _class_law(n)[canonical_form(g)][1]
 
 
 @dataclass(frozen=True)
@@ -283,15 +282,15 @@ def likelihood_extremes(n: int) -> LikelihoodTable:
     if not (1 <= n <= 6):
         raise ValueError("extremes computed for 1 <= n <= 6")
     rows = []
-    for g in enumerate_graph_classes(n):
+    for cert, (g, likelihood) in _class_law(n).items():
         lo, up = likelihood_bounds(g)
         rows.append(
             ClassLikelihood(
                 graph=g,
-                certificate=canonical_form(g).decode(),
+                certificate=cert.decode(),
                 edge_count=g.edge_count,
                 aut=automorphism_count(g),
-                likelihood=likelihood_exact(g),
+                likelihood=likelihood,
                 lower=lo,
                 upper=up,
             )
@@ -329,12 +328,13 @@ def randomness_cost_a(n: int) -> int:
     a(n) = a(n-1) + b(n) + floor(log2(n-1)) + 1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    a = 0
-    if n >= 2:
-        a = 1
-    for i in range(3, n + 1):
-        b = subset_bits_even(i) if i % 2 == 0 else subset_bits_odd(i)
-        a += b + (i - 1).bit_length()
+    # Step i = m + 1 draws its subset from c = C(m, floor(m/2)) choices at
+    # either parity, as C(m, (m+1)/2) = C(m, (m-1)/2) for odd m.  c doubles
+    # when m is even and gains the factor m / ((m+1)/2) when m is odd.
+    a, c = min(n - 1, 1), 1
+    for m in range(2, n):
+        c = 2 * c if m % 2 == 0 else c * m // ((m + 1) // 2)
+        a += (c - 1).bit_length() + m.bit_length()
     return a
 
 

@@ -24,18 +24,19 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .graphs import (
     Graph,
     canonical_form,
+    enumerate_graph_classes,
     is_isomorphic,
     is_tree,
+    _class_law,
 )
 from .machines import ResourceCost
-from .randomness import MAX_LIKELIHOOD_N, _down_masks, distinct_labeled_copies
+from .randomness import MAX_LIKELIHOOD_N
 
-MAX_TREE_CLASS_N = 7  # class enumeration walks all n^(n-2) Pruefer sequences
+MAX_TREE_CLASS_N = 7  # labelled trees: all n^(n-2) Pruefer codes; tree classes: graph classes
 
 
 @dataclass(frozen=True)
@@ -172,21 +173,14 @@ def prufer_decode(code) -> Graph:
 
 def ua_likelihood_exact(t_graph: Graph) -> Fraction:
     """Probability that uniform attachment on n vertices produces a tree
-    isomorphic to t_graph: each recursive labelling occurs with probability
-    1/(n-1)!, so count the recursive labelled copies."""
+    isomorphic to t_graph (its recursive labellings over (n-1)!), read from
+    the exact class law of the process."""
     if not is_tree(t_graph):
         raise ValueError("likelihood under uniform attachment needs a tree")
     n = t_graph.n
     if n > MAX_LIKELIHOOD_N:
         raise ValueError(f"exact tree likelihood supported for n <= {MAX_LIKELIHOOD_N}")
-    if n == 1:
-        return Fraction(1)
-    down = _down_masks(n)  # a copy is recursive when each t >= 2 has one smaller neighbour
-    recursive = sum(
-        all((mask & down[t]).bit_count() == 1 for t in range(2, n + 1))
-        for mask in distinct_labeled_copies(t_graph)
-    )
-    return Fraction(recursive, factorial(n - 1))
+    return _class_law(n, tree=True)[canonical_form(t_graph)][1]
 
 
 def tree_positivity_check(t_graph: Graph, samples: int, seed: int) -> tuple[int, float]:
@@ -241,16 +235,10 @@ def enumerate_labeled_trees(n: int) -> list[Graph]:
 
 def enumerate_tree_classes(n: int) -> list[Graph]:
     """One representative per tree isomorphism class on n vertices, sorted by
-    canonical certificate.  Deduplicates the Pruefer enumeration by degree
-    sequence and pairwise isomorphism."""
-    buckets: dict[tuple[int, ...], list[Graph]] = {}
-    for g in enumerate_labeled_trees(n):
-        key = g.degree_sequence()
-        reps = buckets.setdefault(key, [])
-        if not any(is_isomorphic(g, r) for r in reps):
-            reps.append(g)
-    classes = [g for reps in buckets.values() for g in reps]
-    return sorted(classes, key=canonical_form)
+    canonical certificate: the tree classes among all graph classes."""
+    if not (1 <= n <= MAX_TREE_CLASS_N):
+        raise ValueError(f"labelled-tree enumeration supported for 1 <= n <= {MAX_TREE_CLASS_N}")
+    return [g for g in enumerate_graph_classes(n) if is_tree(g)]
 
 
 # ---------------------------------------------------------------------------

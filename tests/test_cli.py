@@ -261,6 +261,9 @@ def test_bounds_rejected_before_any_work(capsys) -> None:
     assert "max_n must be nonnegative" in capsys.readouterr().err
     assert main(["likelihood", "--graph", "E0", "--mc", "10", "--seed", "1"]) == 2
     assert "error" in capsys.readouterr().err
+    for argv in (["random", "gnp", "--n", "1449", "--p", "0"], ["random", "va", "--n", "1449"]):
+        assert main([*argv, "--seed", "1"]) == 2
+        assert "may build 1049076 edges" in capsys.readouterr().err
 
 
 def test_matrix_format_exits_2_above_cap(capsys, monkeypatch) -> None:

@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from graphforge.cli import main
-from graphforge.graphs import canonical_form, enumerate_graph_classes
+from graphforge.graphs import canonical_form, enumerate_graph_classes, to_json
 
 CASES: dict[str, tuple[str, ...]] = {
     **{
@@ -82,6 +82,8 @@ GOLDEN: dict[str, str] = {
 }
 
 CERTIFICATES_GOLDEN = "526bd0eeb4f4a12d599434ffa3ec4d5bcab82e49fade566971fc314c5d15e043"
+# The labelled representatives themselves, which the certificates cannot see.
+REPRESENTATIVES_GOLDEN = "3f730687ccc44a344862e1d47ec8895384eeb028a7f43d6129adfe54ed9f2adf"
 
 
 def run_digest(argv: tuple[str, ...]) -> tuple[int, str]:
@@ -99,6 +101,14 @@ def certificates_digest() -> str:
     return h.hexdigest()
 
 
+def representatives_digest() -> str:
+    h = hashlib.sha256()
+    for n in range(8):
+        for g in enumerate_graph_classes(n):
+            h.update(to_json(g).encode() + b"\n")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_digest(name: str) -> None:
     code, digest = run_digest(CASES[name])
@@ -110,7 +120,12 @@ def test_class_certificates_match_golden_digest() -> None:
     assert certificates_digest() == CERTIFICATES_GOLDEN
 
 
+def test_class_representatives_match_golden_digest() -> None:
+    assert representatives_digest() == REPRESENTATIVES_GOLDEN
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f"    {name!r}: {run_digest(CASES[name])[1]!r},")
     print(f"CERTIFICATES_GOLDEN = {certificates_digest()!r}")
+    print(f"REPRESENTATIVES_GOLDEN = {representatives_digest()!r}")

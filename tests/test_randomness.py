@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphforge import randomness
 from graphforge.graphs import (
     Graph,
     canonical_form,
@@ -22,6 +24,7 @@ from graphforge.graphs import (
     is_isomorphic,
     path_graph,
 )
+from graphforge.machines import MAX_BUILD_EDGES
 from graphforge.randomness import (
     Binomial,
     Uniform,
@@ -38,6 +41,10 @@ from graphforge.randomness import (
     subset_bits_even,
     subset_bits_odd,
 )
+
+# Coin biases for the float-threshold samplers: exact rationals, floats, and
+# the two degenerate coins.
+COIN_PS = [0, 1, Fraction(1, 3), Fraction(1, 20), Fraction(2, 7), 0.1, 0.5]
 
 # Frozen sequence of per-vertex random-bit costs for the uniform process.
 A_VALUES = [0, 1, 4, 8, 14, 21, 29, 38, 49, 60]
@@ -80,6 +87,47 @@ def test_sample_vertex_addition_shapes() -> None:
     assert h.n == 12
 
 
+def _gnp_by_fraction(n: int, p, seed: int) -> Graph:
+    """Reference G(n, p): the coin compares random() with p itself."""
+    rng = random.Random(seed)
+    edges = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < p)
+    return Graph(n, frozenset(edges))
+
+
+def _va_binomial_by_fraction(n: int, p, seed: int) -> Graph:
+    """Reference vertex addition with Bi(t-1, p) in-degrees, coins against p."""
+    rng = random.Random(seed)
+    edges = []
+    for t in range(2, n + 1):
+        k = sum(rng.random() < p for _ in range(t - 1))
+        edges.extend((i, t) for i in rng.sample(range(1, t), k))
+    return Graph(n, frozenset(edges))
+
+
+def test_float_threshold_coins_match_fraction_comparison() -> None:
+    for p in COIN_PS:
+        # random() returns k / 2**53; the threshold must split the k exactly
+        # where p does, including the values on either side of p.
+        edge = ceil(Fraction(p) * 2**53)
+        for k in {max(edge - 1, 0), edge, min(edge + 1, 2**53 - 1)}:
+            r = k / 2**53
+            assert (r < randomness._coin_threshold(p)) == (r < p), (p, k)
+        for seed in range(4):
+            assert sample_gnp(30, p, seed) == _gnp_by_fraction(30, p, seed), (p, seed)
+            want = _va_binomial_by_fraction(25, p, seed)
+            assert sample_vertex_addition(25, Binomial(p), seed) == want, (p, seed)
+
+
+def test_samplers_reject_sizes_over_the_edge_cap() -> None:
+    # C(1448, 2) <= MAX_BUILD_EDGES < C(1449, 2): the same cap as a build
+    assert comb(1448, 2) <= MAX_BUILD_EDGES < comb(1449, 2)
+    with pytest.raises(ValueError, match="may build 1049076 edges"):
+        sample_gnp(1449, 0, seed=1)
+    with pytest.raises(ValueError, match="may build 1049076 edges"):
+        sample_vertex_addition(1449, Uniform(), seed=1)
+    assert sample_gnp(1448, 0, seed=1) == empty_graph(1448)
+
+
 def test_distinct_labeled_copies_counts() -> None:
     assert len(distinct_labeled_copies(complete_graph(4))) == 1
     assert len(distinct_labeled_copies(empty_graph(4))) == 1
@@ -109,6 +157,31 @@ def test_likelihood_small_values() -> None:
     assert likelihood_exact(path_graph(3)) == Fraction(1, 3)
     assert likelihood_exact(cycle_graph(5)) == Fraction(1, 270)
     assert likelihood_exact(complete_bipartite(2, 3)) == Fraction(23, 4320)
+
+
+def _likelihood_by_copies(g: Graph) -> Fraction:
+    """The definition: sum over the distinct labelled copies H of g of
+    prod_t 1 / (t * C(t-1, indeg_H(t)))."""
+    n = g.n
+    dyads = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    total = Fraction(0)
+    for mask in distinct_labeled_copies(g):
+        indeg = [0] * (n + 1)
+        for k, (_, j) in enumerate(dyads):
+            indeg[j] += (mask >> k) & 1
+        pr = Fraction(1)
+        for t in range(2, n + 1):
+            pr /= t * comb(t - 1, indeg[t])
+        total += pr
+    return total
+
+
+def test_likelihood_matches_labelled_copy_products() -> None:
+    classes = [g for n in range(1, 7) for g in enumerate_graph_classes(n)]
+    classes += enumerate_graph_classes(7)[::105]
+    assert sum(g.n == 7 for g in classes) == 10
+    for g in classes:
+        assert likelihood_exact(g) == _likelihood_by_copies(g), canonical_form(g)
 
 
 def test_likelihood_total_mass() -> None:
@@ -212,8 +285,8 @@ def test_extremes_serialization() -> None:
 
 def test_randomness_cost_values() -> None:
     assert [randomness_cost_a(n) for n in range(1, 11)] == A_VALUES
-    for n in range(4, 65):
-        assert randomness_cost_a(n) == randomness_cost_a_closed(n)
+    for n in [*range(4, 65), 255, 256, 1000, 2048, 2049, 4096, 4097]:
+        assert randomness_cost_a(n) == randomness_cost_a_closed(n), n
 
 
 def test_randomness_cost_ratio_stays_near_dyad_count() -> None:

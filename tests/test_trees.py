@@ -138,6 +138,23 @@ def test_tree_class_counts() -> None:
         assert len({canonical_form(t) for t in classes}) == want
 
 
+def test_tree_classes_match_prufer_dedupe() -> None:
+    # reference: deduplicate every labelled tree by pairwise isomorphism
+    for n in range(1, 8):
+        reps: list[Graph] = []
+        for g in enumerate_labeled_trees(n):
+            if not any(is_isomorphic(g, r) for r in reps):
+                reps.append(g)
+        want = sorted(canonical_form(g) for g in reps)
+        assert [canonical_form(t) for t in enumerate_tree_classes(n)] == want
+
+
+def test_tree_classes_reject_sizes_outside_bound() -> None:
+    for n in (0, 8):
+        with pytest.raises(ValueError, match=r"labelled-tree enumeration supported for 1 <= n <= 7"):
+            enumerate_tree_classes(n)
+
+
 def test_ua_likelihood_known_values() -> None:
     # single class at n = 3, so it carries all the mass
     (only,) = enumerate_tree_classes(3)
