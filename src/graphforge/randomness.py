@@ -91,7 +91,7 @@ def _draw_in_degree(dist, rng: random.Random, t: int) -> int:
 
 def sample_gnp(n: int, p, seed: int) -> Graph:
     """One draw of G(n, p): an independent biased coin per vertex pair."""
-    _check_edge_cap(n * (n - 1) // 2, f"a {n}-vertex sample")
+    _check_edge_cap(comb(max(n, 0), 2), f"a {n}-vertex sample")
     threshold = _coin_threshold(p)
     rng = random.Random(seed)
     edges = frozenset(
@@ -116,7 +116,7 @@ def sample_vertex_addition(n: int, dist, seed: int) -> Graph:
     subset of earlier vertices of that size."""
     if n < 1:
         raise ValueError("process needs at least one vertex")
-    _check_edge_cap(n * (n - 1) // 2, f"a {n}-vertex sample")
+    _check_edge_cap(comb(max(n, 0), 2), f"a {n}-vertex sample")
     rng = random.Random(seed)
     return Graph(n, frozenset(_sample_va_edges(n, dist, rng)))
 

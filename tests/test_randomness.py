@@ -126,6 +126,11 @@ def test_samplers_reject_sizes_over_the_edge_cap() -> None:
     with pytest.raises(ValueError, match="may build 1049076 edges"):
         sample_vertex_addition(1449, Uniform(), seed=1)
     assert sample_gnp(1448, 0, seed=1) == empty_graph(1448)
+    # a negative n, however large, still fails on its sign, not on the cap
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -2000"):
+        sample_gnp(-2000, 0, seed=1)
+    with pytest.raises(ValueError, match="process needs at least one vertex"):
+        sample_vertex_addition(-2000, Uniform(), seed=1)
 
 
 def test_distinct_labeled_copies_counts() -> None:
