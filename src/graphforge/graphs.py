@@ -483,15 +483,7 @@ def contains_induced(g: Graph, h: Graph) -> bool:
         return True
     if k <= 4:
         return _induces_mask_in(g, k, _small_iso_masks(h))
-    target_deg = h.degree_sequence()
-    target_m = len(h.edges)
-    for subset in combinations(range(1, g.n + 1), k):
-        sub = induced_subgraph(g, subset)
-        if len(sub.edges) != target_m or sub.degree_sequence() != target_deg:
-            continue
-        if is_isomorphic(sub, h):
-            return True
-    return False
+    return any(is_isomorphic(induced_subgraph(g, s), h) for s in combinations(range(1, g.n + 1), k))
 
 
 # ---------------------------------------------------------------------------

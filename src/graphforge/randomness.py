@@ -156,21 +156,17 @@ class McEstimate:
     seed: int
 
 
-def likelihood_mc(g: Graph, samples: int, seed: int) -> McEstimate:
-    """Monte Carlo estimate of likelihood_exact(g): run the uniform process
-    `samples` times and count draws isomorphic to g."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+def _count_copies(g: Graph, draws) -> int:
+    """How many of the drawn edge lists, each on g's vertex set 1..n, form a
+    copy of g: the one Monte-Carlo hit loop, shared by likelihood_mc and
+    trees.tree_positivity_check.  The edge count and degree sequence of the
+    raw list reject most draws before a Graph is built for is_isomorphic.
+    Callers check their size bounds before the first draw."""
     n = g.n
-    if not 1 <= n <= MAX_EXACT_N:
-        raise ValueError(f"Monte-Carlo likelihood supported for 1 <= n <= {MAX_EXACT_N}, got {n}")
-    rng = random.Random(seed)
-    dist = Uniform()
     target_m = g.edge_count
     target_deg = g.degree_sequence()
     hits = 0
-    for _ in range(samples):
-        edges = _sample_va_edges(n, dist, rng)
+    for edges in draws:
         if len(edges) != target_m:
             continue
         degs = [0] * (n + 1)
@@ -181,6 +177,21 @@ def likelihood_mc(g: Graph, samples: int, seed: int) -> McEstimate:
             continue
         if is_isomorphic(Graph(n, frozenset(edges)), g):
             hits += 1
+    return hits
+
+
+def likelihood_mc(g: Graph, samples: int, seed: int) -> McEstimate:
+    """Monte Carlo estimate of likelihood_exact(g): run the uniform process
+    `samples` times and count draws isomorphic to g with the shared hit loop
+    `_count_copies`.  The size bound is checked before any draw."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    n = g.n
+    if not 1 <= n <= MAX_EXACT_N:
+        raise ValueError(f"Monte-Carlo likelihood supported for 1 <= n <= {MAX_EXACT_N}, got {n}")
+    rng = random.Random(seed)
+    dist = Uniform()
+    hits = _count_copies(g, (_sample_va_edges(n, dist, rng) for _ in range(samples)))
     p_hat = hits / samples
     stderr = (p_hat * (1.0 - p_hat) / samples) ** 0.5
     return McEstimate(p_hat, stderr, hits, samples, seed)
@@ -217,7 +228,7 @@ class ClassLikelihood:
 @dataclass(frozen=True)
 class LikelihoodTable:
     n: int
-    rows: tuple[ClassLikelihood, ...]  # ascending by (likelihood, certificate)
+    rows: tuple[ClassLikelihood, ...]  # ascending by certificate
 
     @property
     def argmin(self) -> ClassLikelihood:
@@ -289,7 +300,7 @@ def likelihood_extremes(n: int) -> LikelihoodTable:
                 graph=g,
                 certificate=cert.decode(),
                 edge_count=g.edge_count,
-                aut=automorphism_count(g),
+                aut=up.denominator,  # the upper bound is exactly 1/|Aut(g)|
                 likelihood=likelihood,
                 lower=lo,
                 upper=up,

@@ -26,15 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
+    MAX_EXACT_N,
     Graph,
     canonical_form,
     enumerate_graph_classes,
-    is_isomorphic,
     is_tree,
     _class_law,
 )
 from .machines import ResourceCost
-from .randomness import MAX_LIKELIHOOD_N
+from .randomness import MAX_LIKELIHOOD_N, _count_copies
 
 MAX_TREE_CLASS_N = 7  # labelled trees: all n^(n-2) Pruefer codes; tree classes: graph classes
 
@@ -184,27 +184,20 @@ def ua_likelihood_exact(t_graph: Graph) -> Fraction:
 
 
 def tree_positivity_check(t_graph: Graph, samples: int, seed: int) -> tuple[int, float]:
-    """Count uniform-attachment samples isomorphic to t_graph; any tree shape
-    has positive likelihood, so enough samples should always score hits."""
+    """Count uniform-attachment samples isomorphic to t_graph with the hit
+    loop that likelihood_mc shares; any tree shape has positive likelihood,
+    so enough samples should always score hits.  The size bound is checked
+    before any draw."""
     if samples < 1:
         raise ValueError("need at least one sample")
     if not is_tree(t_graph):
         raise ValueError("positivity check needs a tree")
     n = t_graph.n
+    if n > MAX_EXACT_N:
+        raise ValueError(f"positivity check supported for n <= {MAX_EXACT_N}, got {n}")
     rng = random.Random(seed)
-    target_deg = t_graph.degree_sequence()
-    hits = 0
-    for _ in range(samples):
-        parents = [rng.randrange(1, t) for t in range(2, n + 1)]
-        degs = [0] * (n + 1)
-        for t, p in enumerate(parents, start=2):
-            degs[t] += 1
-            degs[p] += 1
-        if tuple(sorted(degs[1:], reverse=True)) != target_deg:
-            continue
-        g = Graph(n, frozenset((p, t) for t, p in enumerate(parents, start=2)))
-        if is_isomorphic(g, t_graph):
-            hits += 1
+    draws = ([(rng.randrange(1, t), t) for t in range(2, n + 1)] for _ in range(samples))
+    hits = _count_copies(t_graph, draws)
     return hits, hits / samples
 
 

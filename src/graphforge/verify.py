@@ -414,15 +414,13 @@ def _verify_fading_memory(max_n: int) -> VerificationReport:
     return _report("P5", max_n, FULL_RULES, (fading,), checked, cxs, notes, started)
 
 
-def _modifiable_family_member(g: Graph) -> bool:
-    """Complete split, complete bipartite, or complete (degenerate sizes
-    allowed)."""
-    n = g.n
-    if g.edge_count == n * (n - 1) // 2:
-        return True
-    return any(
-        is_isomorphic(g, complete_bipartite(l, n - l)) for l in range(n // 2 + 1)
-    ) or any(is_isomorphic(g, complete_split(l, n - l)) for l in range(n + 1))
+def _rewrite_family_certificates(n: int) -> frozenset[bytes]:
+    """Certificates of the n-vertex rewrite families: complete split (K_n at
+    l = n) and complete bipartite, degenerate sizes allowed."""
+    return frozenset(
+        [canonical_form(complete_split(l, n - l)) for l in range(n + 1)]
+        + [canonical_form(complete_bipartite(l, n - l)) for l in range(n // 2 + 1)]
+    )
 
 
 def _verify_modifiable(max_n: int) -> VerificationReport:
@@ -430,7 +428,7 @@ def _verify_modifiable(max_n: int) -> VerificationReport:
     cxs: list[Counterexample] = []
     notes: list[str] = []
     checked = 0
-    family_cache: dict[bytes, bool] = {}
+    families = [_rewrite_family_certificates(t) for t in range(max_n + 1)]
 
     worked = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "ssssm")
     checked += 1
@@ -457,12 +455,7 @@ def _verify_modifiable(max_n: int) -> VerificationReport:
                 for t in flagged:
                     flagged_total += 1
                     g_t = per_step[t]
-                    cert = canonical_form(g_t)
-                    ok = family_cache.get(cert)
-                    if ok is None:
-                        ok = _modifiable_family_member(g_t)
-                        family_cache[cert] = ok
-                    if not ok:
+                    if canonical_form(g_t) not in families[t]:
                         cxs.append(
                             Counterexample(
                                 rule.mnemonic, "modifiable", trace.x, trace.choices,

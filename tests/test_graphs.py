@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -150,6 +151,29 @@ def test_contains_induced() -> None:
     assert contains_induced(complete_bipartite(2, 2), cycle_graph(4))
     # an induced P_5 hides inside C_6
     assert contains_induced(cycle_graph(6), path_graph(5))
+
+
+def test_contains_induced_matches_subset_certificates() -> None:
+    answers = []
+    for g in (g for n in range(7) for g in enumerate_graph_classes(n)):
+        for k in (5, 6):
+            subset_certs = {
+                canonical_form(induced_subgraph(g, s))
+                for s in combinations(range(1, g.n + 1), k)
+            }
+            for h in enumerate_graph_classes(k):
+                answers.append(contains_induced(g, h))
+                assert answers[-1] == (canonical_form(h) in subset_certs), (g, h)
+    assert any(answers) and not all(answers)
+
+
+def test_contains_induced_checks_the_isomorphism_bound() -> None:
+    with pytest.raises(ValueError, match="isomorphism supported for n <= 12, got 13"):
+        contains_induced(path_graph(14), path_graph(13))
+    # no 13-subset has the edge count of E_13, which once returned False
+    with pytest.raises(ValueError, match="isomorphism supported for n <= 12, got 13"):
+        contains_induced(complete_graph(14), empty_graph(13))
+    assert not contains_induced(path_graph(12), path_graph(13))
 
 
 def test_threshold_recognition_agrees() -> None:

@@ -235,6 +235,41 @@ def test_likelihood_mc_rejects_sizes_outside_the_exact_range() -> None:
         likelihood_mc(empty_graph(0), samples=10, seed=1)
 
 
+def _va_hits_reference(g: Graph, samples: int, seed: int) -> int:
+    """likelihood_mc's hit loop as it stood before it was shared with
+    tree_positivity_check."""
+    n = g.n
+    rng = random.Random(seed)
+    dist = Uniform()
+    target_m = g.edge_count
+    target_deg = g.degree_sequence()
+    hits = 0
+    for _ in range(samples):
+        edges = randomness._sample_va_edges(n, dist, rng)
+        if len(edges) != target_m:
+            continue
+        degs = [0] * (n + 1)
+        for i, j in edges:
+            degs[i] += 1
+            degs[j] += 1
+        if tuple(sorted(degs[1:], reverse=True)) != target_deg:
+            continue
+        if is_isomorphic(Graph(n, frozenset(edges)), g):
+            hits += 1
+    return hits
+
+
+def test_likelihood_mc_matches_the_reference_hit_loop() -> None:
+    targets = [
+        complete_graph(3), path_graph(4), cycle_graph(5), path_graph(6), complete_bipartite(3, 3),
+    ]
+    for g in targets:
+        for seed in range(10):
+            assert likelihood_mc(g, samples=1000, seed=seed).hits == _va_hits_reference(
+                g, 1000, seed
+            ), (g, seed)
+
+
 def test_extremes_table_shape() -> None:
     table = likelihood_extremes(4)
     assert len(table.rows) == 11

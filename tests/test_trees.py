@@ -174,8 +174,46 @@ def test_ua_likelihood_total_mass_and_positivity() -> None:
 def test_tree_positivity_check_sees_hits() -> None:
     star = build_tree_from_instructions(ParentVector(4, (1, 1, 1)))
     hits, estimate = tree_positivity_check(star, samples=3000, seed=2)
-    assert hits > 0
+    assert hits == 1054  # pinned: the draws and their order are part of the output
     assert abs(estimate - 1 / 3) < 0.1
+
+
+def _ua_hits_reference(t_graph: Graph, samples: int, seed: int) -> int:
+    """tree_positivity_check's hit loop as it stood before it was shared with
+    likelihood_mc."""
+    n = t_graph.n
+    rng = random.Random(seed)
+    target_deg = t_graph.degree_sequence()
+    hits = 0
+    for _ in range(samples):
+        parents = [rng.randrange(1, t) for t in range(2, n + 1)]
+        degs = [0] * (n + 1)
+        for t, p in enumerate(parents, start=2):
+            degs[t] += 1
+            degs[p] += 1
+        if tuple(sorted(degs[1:], reverse=True)) != target_deg:
+            continue
+        g = Graph(n, frozenset((p, t) for t, p in enumerate(parents, start=2)))
+        if is_isomorphic(g, t_graph):
+            hits += 1
+    return hits
+
+
+def test_tree_positivity_check_matches_the_reference_hit_loop() -> None:
+    for tree in (path_graph(5), path_graph(6), complete_bipartite(1, 4), complete_bipartite(1, 5)):
+        for seed in range(10):
+            assert tree_positivity_check(tree, samples=1000, seed=seed)[0] == _ua_hits_reference(
+                tree, 1000, seed
+            ), (tree, seed)
+
+
+def test_tree_positivity_check_rejects_sizes_outside_the_exact_range() -> None:
+    # the 13-vertex target once failed only for seeds whose draws reached
+    # the isomorphism test, and scored 0 hits for the others
+    target = sample_ua(13, 0)
+    for seed in range(8):
+        with pytest.raises(ValueError, match="positivity check supported for n <= 12, got 13"):
+            tree_positivity_check(target, samples=20, seed=seed)
 
 
 def test_tree_cost_values() -> None:

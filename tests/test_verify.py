@@ -7,9 +7,12 @@ import json
 import pytest
 
 from graphforge.graphs import (
+    Graph,
     canonical_form,
     complete_bipartite,
+    complete_split,
     cycle_graph,
+    enumerate_graph_classes,
     from_json,
     is_isomorphic,
     path_graph,
@@ -30,6 +33,7 @@ from graphforge.verify import (
     hierarchy_report,
     reachable_classes,
     verify_proposition,
+    _rewrite_family_certificates,
 )
 
 # Reachable isomorphism-class counts per model, frozen from enumeration.
@@ -150,3 +154,25 @@ def test_enumeration_rejects_negative_sizes() -> None:
     # the upper-bound message is unchanged
     with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
         enumerate_outputs(rule, MODIFIABLE, 8)
+
+
+def _rewrite_family_member_reference(g: Graph) -> bool:
+    """Family membership by isomorphism scan, independent of canonical form:
+    complete split, complete bipartite, or complete (degenerate sizes
+    allowed)."""
+    n = g.n
+    if g.edge_count == n * (n - 1) // 2:
+        return True
+    return any(
+        is_isomorphic(g, complete_bipartite(l, n - l)) for l in range(n // 2 + 1)
+    ) or any(is_isomorphic(g, complete_split(l, n - l)) for l in range(n + 1))
+
+
+def test_rewrite_family_certificates_match_the_isomorphism_scan() -> None:
+    non_members = 0
+    for n in range(8):
+        classes = enumerate_graph_classes(n)
+        members = {canonical_form(g) for g in classes if _rewrite_family_member_reference(g)}
+        assert _rewrite_family_certificates(n) == members, n
+        non_members += len(classes) - len(members)
+    assert non_members > 0
