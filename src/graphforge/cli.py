@@ -181,11 +181,14 @@ def _cmd_likelihood(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ValueError("--mc requires --seed for reproducibility")
     est = likelihood_mc(g, args.mc, args.seed)
-    _emit(
+    text = (
         f"estimate {est.estimate!r}\nstderr {est.stderr!r}\n"
-        f"hits {est.hits}\nsamples {est.samples}\nseed {est.seed}\n",
-        args.out,
+        f"hits {est.hits}\nsamples {est.samples}\nseed {est.seed}\n"
     )
+    bound = est.one_sided_bound
+    if bound is not None:
+        text += f"{'upper95' if est.hits == 0 else 'lower95'} {bound!r}\n"
+    _emit(text, args.out)
     return 0
 
 

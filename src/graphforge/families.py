@@ -105,43 +105,6 @@ def _from_predicate(x: str, pred) -> LabeledGraph:
     return LabeledGraph(Graph(n, edges), labels)
 
 
-def family_E(x: str) -> LabeledGraph:
-    """Bipartite-with-order family: edge exactly when a 1 precedes a 0."""
-    return _from_predicate(x, lambda bi, bj, i, j: bi == 1 and bj == 0)
-
-
-def family_K(x: str) -> LabeledGraph:
-    """Split-with-order family: edge exactly when the earlier vertex is a 0."""
-    return _from_predicate(x, lambda bi, bj, i, j: bi == 0)
-
-
-def family_Ktilde(x: str) -> LabeledGraph:
-    """Two cliques plus the cross edges where the 0 arrives after the 1."""
-    return _from_predicate(x, lambda bi, bj, i, j: bi == bj or (bi == 1 and bj == 0))
-
-
-def threshold_creation(x: str) -> LabeledGraph:
-    """Threshold graph with creation sequence x: each 0 dominates on arrival,
-    each 1 arrives isolated."""
-    return _from_predicate(x, lambda bi, bj, i, j: bj == 0)
-
-
-def family_Kprime(x: str) -> LabeledGraph:
-    """Fading counterpart of the split family: 0s dominate on arrival, and a
-    1 also links back to an immediately preceding 0."""
-    return _from_predicate(
-        x, lambda bi, bj, i, j: bj == 0 or (i == j - 1 and bi == 0 and bj == 1)
-    )
-
-
-def family_Eprime(x: str) -> LabeledGraph:
-    """Fading counterpart of K~: 0s dominate on arrival, and a 1 links back
-    to an immediately preceding 1."""
-    return _from_predicate(
-        x, lambda bi, bj, i, j: bj == 0 or (i == j - 1 and bi == 1 and bj == 1)
-    )
-
-
 _FULL_PREDICATES = {
     "0>-,1>-": lambda bi, bj, i, j: False,
     "0>1,1>-": lambda bi, bj, i, j: bi == 1 and bj == 0,
@@ -167,6 +130,39 @@ _FADING_PREDICATES = {
     "0>E,1>1": lambda bi, bj, i, j: bj == 0 or (i == j - 1 and bi == 1 and bj == 1),
     "0>E,1>E": lambda bi, bj, i, j: True,
 }
+
+
+def family_E(x: str) -> LabeledGraph:
+    """Bipartite-with-order family: edge exactly when a 1 precedes a 0."""
+    return _from_predicate(x, _FULL_PREDICATES["0>1,1>-"])
+
+
+def family_K(x: str) -> LabeledGraph:
+    """Split-with-order family: edge exactly when the earlier vertex is a 0."""
+    return _from_predicate(x, _FULL_PREDICATES["0>0,1>0"])
+
+
+def family_Ktilde(x: str) -> LabeledGraph:
+    """Two cliques plus the cross edges where the 0 arrives after the 1."""
+    return _from_predicate(x, _FULL_PREDICATES["0>E,1>1"])
+
+
+def threshold_creation(x: str) -> LabeledGraph:
+    """Threshold graph with creation sequence x: each 0 dominates on arrival,
+    each 1 arrives isolated."""
+    return _from_predicate(x, _FULL_PREDICATES["0>E,1>-"])
+
+
+def family_Kprime(x: str) -> LabeledGraph:
+    """Fading counterpart of the split family: 0s dominate on arrival, and a
+    1 also links back to an immediately preceding 0."""
+    return _from_predicate(x, _FADING_PREDICATES["0>E,1>0"])
+
+
+def family_Eprime(x: str) -> LabeledGraph:
+    """Fading counterpart of K~: 0s dominate on arrival, and a 1 links back
+    to an immediately preceding 1."""
+    return _from_predicate(x, _FADING_PREDICATES["0>E,1>1"])
 
 
 def full_table_family(rule: RuleSet, x: str) -> LabeledGraph:

@@ -155,6 +155,18 @@ class McEstimate:
     samples: int
     seed: int
 
+    @property
+    def one_sided_bound(self) -> float | None:
+        """The exact one-sided 95% Clopper-Pearson bound when every draw
+        agrees, where stderr reads 0: the upper bound 1 - 0.05^(1/samples)
+        at 0 hits, the lower bound 0.05^(1/samples) when every draw hits;
+        None otherwise."""
+        if self.hits == 0:
+            return 1.0 - 0.05 ** (1 / self.samples)
+        if self.hits == self.samples:
+            return 0.05 ** (1 / self.samples)
+        return None
+
 
 def _count_copies(g: Graph, draws) -> int:
     """How many of the drawn edge lists, each on g's vertex set 1..n, form a

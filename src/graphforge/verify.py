@@ -25,19 +25,22 @@ The reachability helpers (enumerate_outputs, reachable_classes,
 find_constructions, expressiveness_count, hierarchy_report) answer which
 isomorphism classes each memory model can emit at all.
 
-Every machine run comes from one enumerator, _runs, which yields each trace
-of a rule at one string length (one per legal choice sequence under the
-modifiable model).  C_modifiable reads rewrite steps from the traces' edge
-records: steps only add edges and record only new ones, so deleting vertex
-t from G_t fails to recover G_{t-1} up to isomorphism exactly when step t
-added an edge between two earlier vertices.
+Every check reads its machine runs from one enumerator, _runs, which yields
+each trace of a rule at one string length (one per legal choice sequence
+under the modifiable model); only the fixed worked examples of C_modifiable
+and C_pnfree call the interpreters directly.  P2, P3 and P5 share one table
+loop, _table_runs, which compares every output with its closed-form family.
+C_modifiable reads rewrite steps from the traces' edge records: steps only
+add edges and record only new ones, so deleting vertex t from G_t fails to
+recover G_{t-1} up to isomorphism exactly when step t added an edge between
+two earlier vertices.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .families import (
@@ -47,7 +50,6 @@ from .families import (
     full_table_family,
     runs_of_ones,
     runs_of_zeros,
-    threshold_creation,
     zero_anchored_blocks,
 )
 from .graphs import (
@@ -87,8 +89,7 @@ from .machines import (
 
 PROPOSITION_IDS = ("P2", "P3", "P5", "C_modifiable", "C_pnfree")
 
-_DEFAULT_MAX_N = {"P2": 10, "P3": 8, "P5": 8, "C_modifiable": 6, "C_pnfree": 8}
-_MAX_N = {"P2": 10, "P3": 8, "P5": 8, "C_modifiable": 7, "C_pnfree": 8}
+_FADING = fading_memory(2)
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,7 @@ class Counterexample:
     got: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "rule": self.rule,
-            "model": self.model,
-            "x": self.x,
-            "choices": self.choices,
-            "expected": self.expected,
-            "got": self.got,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def to_json_obj(self, include_wall_time: bool = False) -> dict:
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "proposition": self.proposition,
             "max_n": self.max_n,
             "rules": list(self.rules),
@@ -137,12 +131,9 @@ class VerificationReport:
             "notes": list(self.notes),
             "passed": self.passed,
         }
-        if include_wall_time:
-            obj["wall_time"] = self.wall_time
-        return obj
 
-    def to_json(self, include_wall_time: bool = False) -> str:
-        return json.dumps(self.to_json_obj(include_wall_time), sort_keys=True, separators=(",", ":"))
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     def to_text(self, max_listed: int = 20) -> str:
         lines = [
@@ -262,9 +253,15 @@ def find_constructions(g: Graph, model: MemoryModel) -> list[tuple[str, str]]:
 # proposition checks
 # ---------------------------------------------------------------------------
 
-def _report(proposition, max_n, rules, models, checked, cxs, notes, started) -> VerificationReport:
+def _run_check(name: str, check, rules, models, max_n: int) -> VerificationReport:
+    """Time check(max_n, cxs, notes), which appends its counterexamples and
+    notes and returns how many comparisons it made, and report the result."""
+    started = time.monotonic()
+    cxs: list[Counterexample] = []
+    notes: list[str] = []
+    checked = check(max_n, cxs, notes)
     return VerificationReport(
-        proposition=proposition,
+        proposition=name,
         max_n=max_n,
         rules=tuple(r.mnemonic for r in rules),
         models=tuple(str(m) for m in models),
@@ -275,60 +272,57 @@ def _report(proposition, max_n, rules, models, checked, cxs, notes, started) -> 
     )
 
 
-def _verify_no_memory(max_n: int) -> VerificationReport:
-    started = time.monotonic()
-    rule_empty, rule_threshold, rule_complete = NO_MEMORY_RULES
-    cxs: list[Counterexample] = []
-    notes: list[str] = []
+def _table_runs(model: MemoryModel, family, max_n: int, cxs: list[Counterexample]):
+    """Run every rule legal for the model on every string of length at most
+    max_n and compare each output, labelled vertex for labelled vertex, with
+    the closed-form family. Yields (trace, matches); mismatches go to cxs."""
+    for rule in _rules_for(model):
+        for n in range(max_n + 1):
+            for trace in _runs(rule, model, n):
+                want = family(rule, trace.x)
+                matches = trace.final.graph == want.graph and trace.final.labels == want.labels
+                if not matches:
+                    cxs.append(_counterexample(trace, f"closed form {to_json(want.graph)}"))
+                yield trace, matches
+
+
+def _verify_no_memory(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
+    """Besides the table rows: every 0>E,1>- output is a threshold graph, and
+    the rule reaches all 2^(n-1) threshold classes on n >= 1 vertices."""
     checked = 0
-    for n in range(max_n + 1):
-        seen: dict[bytes, str] = {}
-        for x in _strings(n):
-            empty = interpret(rule_empty, NO_MEMORY, x)
-            checked += 1
-            if empty.final.graph != empty_graph(n):
-                cxs.append(_counterexample(empty, "the empty graph"))
-            full = interpret(rule_complete, NO_MEMORY, x)
-            checked += 1
-            if full.final.graph != complete_graph(n):
-                cxs.append(_counterexample(full, "the complete graph"))
-            threshold = interpret(rule_threshold, NO_MEMORY, x)
-            g = threshold.final.graph
-            checked += 1
-            if g != threshold_creation(x).graph:
-                cxs.append(_counterexample(threshold, "the creation-sequence closed form"))
-            if not is_threshold(g):
-                cxs.append(_counterexample(threshold, "a threshold graph (elimination test)"))
-            if not is_threshold_by_forbidden(g):
-                cxs.append(_counterexample(threshold, "a threshold graph (forbidden-subgraph test)"))
-            seen.setdefault(canonical_form(g), x)
+    reached: list[set[bytes]] = [set() for _ in range(max_n + 1)]
+    for trace, _ in _table_runs(NO_MEMORY, full_table_family, max_n, cxs):
+        checked += 1
+        if trace.rule.mnemonic != "0>E,1>-":
+            continue
+        g = trace.final.graph
+        if not is_threshold(g):
+            cxs.append(_counterexample(trace, "a threshold graph (elimination test)"))
+        if not is_threshold_by_forbidden(g):
+            cxs.append(_counterexample(trace, "a threshold graph (forbidden-subgraph test)"))
+        reached[g.n].add(canonical_form(g))
+    for n, seen in enumerate(reached):
+        everywhere = f"all strings of length {n}"
         if n >= 1 and len(seen) != 2 ** (n - 1):
             cxs.append(
                 Counterexample(
-                    rule_threshold.mnemonic,
-                    "none",
-                    f"all strings of length {n}",
-                    None,
-                    f"exactly {2 ** (n - 1)} distinct classes",
-                    str(len(seen)),
+                    "0>E,1>-", "none", everywhere, None,
+                    f"exactly {2 ** (n - 1)} distinct classes", str(len(seen)),
                 )
             )
         if n <= 6:
             wanted = {canonical_form(c) for c in enumerate_graph_classes(n) if is_threshold(c)}
             checked += 1
-            if set(seen) != wanted:
+            if seen != wanted:
                 cxs.append(
                     Counterexample(
-                        rule_threshold.mnemonic,
-                        "none",
-                        f"all strings of length {n}",
-                        None,
+                        "0>E,1>-", "none", everywhere, None,
                         "exactly the threshold isomorphism classes",
                         f"{len(seen)} classes vs {len(wanted)} threshold classes",
                     )
                 )
         notes.append(f"n={n}: {len(seen)} threshold classes reached")
-    return _report("P2", max_n, NO_MEMORY_RULES, (NO_MEMORY,), checked, cxs, notes, started)
+    return checked
 
 
 # Rules whose full-memory output is, as an unlabelled graph, a named family
@@ -343,23 +337,7 @@ _NAMED_FULL_SHAPES = {
 }
 
 
-def _table_runs(model: MemoryModel, family, max_n: int, cxs: list[Counterexample]):
-    """Run every canonical rule on every string of length at most max_n and
-    compare each output, labelled vertex for labelled vertex, with the
-    closed-form family. Yields (trace, matches); mismatches also go to cxs."""
-    for rule in FULL_RULES:
-        for n in range(max_n + 1):
-            for trace in _runs(rule, model, n):
-                want = family(rule, trace.x)
-                matches = trace.final.graph == want.graph and trace.final.labels == want.labels
-                if not matches:
-                    cxs.append(_counterexample(trace, f"closed form {to_json(want.graph)}"))
-                yield trace, matches
-
-
-def _verify_full_memory(max_n: int) -> VerificationReport:
-    started = time.monotonic()
-    cxs: list[Counterexample] = []
+def _verify_full_memory(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     checked = 0
     for trace, matches in _table_runs(FULL_MEMORY, full_table_family, max_n, cxs):
         checked += 1
@@ -371,7 +349,7 @@ def _verify_full_memory(max_n: int) -> VerificationReport:
             cxs.append(_counterexample(trace, "the named family shape"))
         if trace.rule.mnemonic == "0>E,1>-" and not (is_threshold(g) and is_threshold_by_forbidden(g)):
             cxs.append(_counterexample(trace, "a threshold graph"))
-    return _report("P3", max_n, FULL_RULES, (FULL_MEMORY,), checked, cxs, (), started)
+    return checked
 
 
 _RUN_STAT_EXAMPLE = "00110100010"
@@ -383,11 +361,7 @@ _RUN_STAT_EXPECTED = {
 }
 
 
-def _verify_fading_memory(max_n: int) -> VerificationReport:
-    started = time.monotonic()
-    fading = fading_memory(2)
-    cxs: list[Counterexample] = []
-    notes: list[str] = []
+def _verify_fading_memory(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     checked = 0
     for name, (fn, expected) in _RUN_STAT_EXPECTED.items():
         checked += 1
@@ -401,7 +375,7 @@ def _verify_fading_memory(max_n: int) -> VerificationReport:
             )
         else:
             notes.append(f"{name}({_RUN_STAT_EXAMPLE}) = {expected}")
-    for trace, matches in _table_runs(fading, fading_table_family, max_n, cxs):
+    for trace, matches in _table_runs(_FADING, fading_table_family, max_n, cxs):
         checked += 1
         if not matches:
             continue
@@ -411,7 +385,7 @@ def _verify_fading_memory(max_n: int) -> VerificationReport:
             expected_forest = linear_forest(list(sizes) + [1] * (g.n - sum(sizes)))
             if not (is_linear_forest(g) and is_isomorphic(g, expected_forest)):
                 cxs.append(_counterexample(trace, f"linear forest with path sizes {sizes}"))
-    return _report("P5", max_n, FULL_RULES, (fading,), checked, cxs, notes, started)
+    return checked
 
 
 def _rewrite_family_certificates(n: int) -> frozenset[bytes]:
@@ -423,18 +397,13 @@ def _rewrite_family_certificates(n: int) -> frozenset[bytes]:
     )
 
 
-def _verify_modifiable(max_n: int) -> VerificationReport:
-    started = time.monotonic()
-    cxs: list[Counterexample] = []
-    notes: list[str] = []
-    checked = 0
+def _verify_modifiable(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     families = [_rewrite_family_certificates(t) for t in range(max_n + 1)]
 
     worked = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "ssssm")
-    checked += 1
-    if is_isomorphic(worked.final.graph, complete_bipartite(1, 4)) and memory_modifiable_steps(
-        worked
-    ) == [5]:
+    checked = 1
+    star = is_isomorphic(worked.final.graph, complete_bipartite(1, 4))
+    if star and memory_modifiable_steps(worked) == [5]:
         notes.append("rule 0>1,1>- x 00010 with a final rewrite yields the 4-star")
     else:
         cxs.append(
@@ -465,13 +434,10 @@ def _verify_modifiable(max_n: int) -> VerificationReport:
                             )
                         )
     notes.append(f"{flagged_total} rewrite steps examined")
-    return _report("C_modifiable", max_n, FULL_RULES, (MODIFIABLE,), checked, cxs, notes, started)
+    return checked
 
 
-def _verify_path_cycle_free(max_n: int) -> VerificationReport:
-    started = time.monotonic()
-    cxs: list[Counterexample] = []
-    notes: list[str] = []
+def _verify_path_cycle_free(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     checked = 0
 
     # certificates carry n, so merging the per-size maps keeps each class's
@@ -489,8 +455,8 @@ def _verify_path_cycle_free(max_n: int) -> VerificationReport:
         ("induced 6-path", path_graph(6)),
         ("induced 6-cycle", cycle_graph(6)),
     ]
-    p4_seen = False
-    c4_seen = False
+    # the first witness of each wanted shape is noted and leaves the dict
+    unseen = {"4-path": path_graph(4), "4-cycle": cycle_graph(4)}
     for cert in sorted(witnesses):
         trace = witnesses[cert]
         g = trace.final.graph
@@ -498,71 +464,53 @@ def _verify_path_cycle_free(max_n: int) -> VerificationReport:
             checked += 1
             if contains_induced(g, h):
                 cxs.append(_counterexample(trace, f"no {label}"))
-        if not p4_seen and contains_induced(g, path_graph(4)):
-            p4_seen = True
-            notes.append(f"induced 4-path witness: rule {trace.rule.mnemonic} x {trace.x}")
-        if not c4_seen and contains_induced(g, cycle_graph(4)):
-            c4_seen = True
-            notes.append(f"induced 4-cycle witness: rule {trace.rule.mnemonic} x {trace.x}")
+        for label, h in list(unseen.items()):
+            if contains_induced(g, h):
+                del unseen[label]
+                notes.append(f"induced {label} witness: rule {trace.rule.mnemonic} x {trace.x}")
 
     example = interpret(parse_rule("0>1,1>-"), FULL_MEMORY, "10010")
     checked += 1
     if not contains_induced(example.final.graph, path_graph(4)):
         cxs.append(_counterexample(example, "an induced 4-path"))
-    if not p4_seen:
+    for label in unseen:
         cxs.append(
-            Counterexample("any", "full", f"|x| <= {max_n}", None, "some induced 4-path", "none")
+            Counterexample("any", "full", f"|x| <= {max_n}", None, f"some induced {label}", "none")
         )
-    if not c4_seen:
-        cxs.append(
-            Counterexample("any", "full", f"|x| <= {max_n}", None, "some induced 4-cycle", "none")
-        )
-    return _report("C_pnfree", max_n, FULL_RULES, (FULL_MEMORY,), checked, cxs, notes, started)
+    return checked
 
 
+# id -> (check, rules, models, default max_n, largest max_n)
 _CHECKS = {
-    "P2": _verify_no_memory,
-    "P3": _verify_full_memory,
-    "P5": _verify_fading_memory,
-    "C_modifiable": _verify_modifiable,
-    "C_pnfree": _verify_path_cycle_free,
+    "P2": (_verify_no_memory, NO_MEMORY_RULES, (NO_MEMORY,), 10, 10),
+    "P3": (_verify_full_memory, FULL_RULES, (FULL_MEMORY,), 8, 8),
+    "P5": (_verify_fading_memory, FULL_RULES, (_FADING,), 8, 8),
+    "C_modifiable": (_verify_modifiable, FULL_RULES, (MODIFIABLE,), 6, 7),
+    "C_pnfree": (_verify_path_cycle_free, FULL_RULES, (FULL_MEMORY,), 8, 8),
 }
 
 
 def verify_proposition(proposition: str, max_n: int | None = None) -> VerificationReport:
     """Run one check over all strings up to max_n (defaults per check)."""
     try:
-        fn = _CHECKS[proposition]
+        check, rules, models, default_n, largest_n = _CHECKS[proposition]
     except KeyError:
         raise ValueError(
             f"unknown check {proposition!r}; expected one of {', '.join(PROPOSITION_IDS)}"
         ) from None
-    bound = _DEFAULT_MAX_N[proposition] if max_n is None else max_n
+    bound = default_n if max_n is None else max_n
     if bound < 0:
         raise ValueError("max_n must be nonnegative")
-    if bound > _MAX_N[proposition]:
-        raise ValueError(f"{proposition} supports max_n <= {_MAX_N[proposition]}")
-    return fn(bound)
+    if bound > largest_n:
+        raise ValueError(f"{proposition} supports max_n <= {largest_n}")
+    return _run_check(proposition, check, rules, models, bound)
 
 
-def hierarchy_report(max_n: int = 8) -> VerificationReport:
-    """Compare the class sets reachable per memory model at every size up to
-    max_n: the memoryless classes must embed into both richer models, and
-    the report records whether the fading classes embed into full memory
-    (they do not: fading memory reaches long induced paths that full-memory
-    outputs never contain)."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    if max_n > 8:
-        raise ValueError("hierarchy comparison supported for max_n <= 8")
-    started = time.monotonic()
-    fading = fading_memory(2)
-    cxs: list[Counterexample] = []
-    notes: list[str] = []
+def _compare_models(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     checked = 0
     for n in range(max_n + 1):
         none_w = _reachable_with_witnesses(NO_MEMORY, n)
-        fading_w = _reachable_with_witnesses(fading, n)
+        fading_w = _reachable_with_witnesses(_FADING, n)
         full_w = _reachable_with_witnesses(FULL_MEMORY, n)
         notes.append(f"n={n}: none {len(none_w)}, fading {len(fading_w)}, full {len(full_w)}")
         for cert in sorted(none_w):
@@ -575,6 +523,19 @@ def hierarchy_report(max_n: int = 8) -> VerificationReport:
             checked += 1
             if cert not in full_w:
                 cxs.append(_counterexample(fading_w[cert], "reachable under full memory"))
-    return _report(
-        "hierarchy", max_n, FULL_RULES, (NO_MEMORY, fading, FULL_MEMORY), checked, cxs, notes, started
+    return checked
+
+
+def hierarchy_report(max_n: int = 8) -> VerificationReport:
+    """Compare the class sets reachable per memory model at every size up to
+    max_n: the memoryless classes must embed into both richer models, and
+    the report records whether the fading classes embed into full memory
+    (they do not: fading memory reaches long induced paths that full-memory
+    outputs never contain)."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    if max_n > 8:
+        raise ValueError("hierarchy comparison supported for max_n <= 8")
+    return _run_check(
+        "hierarchy", _compare_models, FULL_RULES, (NO_MEMORY, _FADING, FULL_MEMORY), max_n
     )

@@ -137,6 +137,19 @@ def test_likelihood_mc_requires_seed() -> None:
     assert r.returncode == 0
 
 
+def test_likelihood_mc_prints_one_sided_bound_only_when_draws_agree() -> None:
+    def mc_lines(graph: str, samples: int) -> list[str]:
+        r = run_cli("likelihood", "--graph", graph, "--mc", str(samples), "--seed", "0")
+        return r.stdout.splitlines()
+
+    upper = 1 - 0.05 ** (1 / 200)
+    assert mc_lines("K3,3", 200)[2:] == ["hits 0", "samples 200", "seed 0", f"upper95 {upper!r}"]
+    lower = 0.05 ** (1 / 50)
+    assert mc_lines("K1", 50)[2:] == ["hits 50", "samples 50", "seed 0", f"lower95 {lower!r}"]
+    mixed = mc_lines("K3", 1000)
+    assert len(mixed) == 5 and mixed[-1] == "seed 0"
+
+
 def test_likelihood_mode_flags_are_exclusive() -> None:
     assert run_cli("likelihood", "--graph", "K3").returncode == 2
     assert run_cli("likelihood", "--graph", "K3", "--exact", "--bounds").returncode == 2

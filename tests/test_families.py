@@ -131,6 +131,25 @@ def test_fading_table_families_match_machines_exhaustively() -> None:
                 assert got == want, (rule.mnemonic, x)
 
 
+NAMED_FAMILY_MACHINES = [
+    (family_E, "0>1,1>-", FULL_MEMORY),
+    (family_K, "0>0,1>0", FULL_MEMORY),
+    (family_Ktilde, "0>E,1>1", FULL_MEMORY),
+    (threshold_creation, "0>E,1>-", FULL_MEMORY),
+    (family_Kprime, "0>E,1>0", fading_memory(2)),
+    (family_Eprime, "0>E,1>1", fading_memory(2)),
+]
+
+
+@pytest.mark.parametrize("family,mnemonic,model", NAMED_FAMILY_MACHINES)
+def test_named_families_are_machine_outputs(family, mnemonic, model) -> None:
+    rule = parse_rule(mnemonic)
+    for n in range(9):
+        for k in range(2**n):
+            x = format(k, f"0{n}b") if n else ""
+            assert family(x) == interpret(rule, model, x).final, (mnemonic, x)
+
+
 def test_table_families_reject_non_canonical_rules() -> None:
     swapped = swap_rule(parse_rule("0>1,1>-"))
     with pytest.raises(ValueError):

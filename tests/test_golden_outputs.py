@@ -25,6 +25,10 @@ CASES: dict[str, tuple[str, ...]] = {
         for prop in ("P2", "P3", "P5", "C_modifiable", "C_pnfree", "hierarchy")
     },
     **{
+        f"verify-{prop}-text": ("verify", prop, "--format", "text")
+        for prop in ("P2", "P3", "P5", "C_modifiable", "C_pnfree", "hierarchy")
+    },
+    **{
         f"extremes-{n}": ("likelihood", "--extremes", str(n), "--format", "json")
         for n in range(1, 7)
     },
@@ -74,11 +78,17 @@ GOLDEN: dict[str, str] = {
     "tree-200-json": "6b21703fd78e79615040424f6a0ea438c4aa241f6d4b008e670db897c805f82e",
     "tree-200-matrix": "a88f9423f829426e7d083f573b7a9e10e6f59cbded080caec40d4b31a963211e",
     "verify-C_modifiable": "a98afceb240587995c369ce7df8727d5101239a29789b5aa13a6545b1af7a064",
+    "verify-C_modifiable-text": "f1af047eb313b8ab691cc5fc2d93432d4eb26a8296583377bbfe708e2485dd16",
     "verify-C_pnfree": "df12a8fc0034a0f93d7e81234cbf0f7b2d2a60ad44f2e02449c329dcbfef19d4",
+    "verify-C_pnfree-text": "504dd42a49db50be377c6b51aa36286ca1af4e2137f499005a728cf093f4602c",
     "verify-P2": "b85c1a44aebb716118eba8c79bf00d8d9265c5d438312cdebf1ea949ad90a460",
+    "verify-P2-text": "8fb5ab7d9af1b8b3d64c291bf6813af6aaf41aa1d2eb7a18bf3a06f5db2bec23",
     "verify-P3": "8d53575c68eb4289daba1359caf0880ee416579ab4c24fef4e3f6b562bee0f5b",
+    "verify-P3-text": "d9169926903f47f18a6d8e9efa7701366354541431b0c41f2b0d06139a3a10a7",
     "verify-P5": "670fafa7f6e8c620a69e495bcdf1e5f33e061e7ef988388c8c683176dc8aaf05",
+    "verify-P5-text": "450f2c3edb4a263397dd0816847f8d3b5c60ac55338ff3e631c99212d744742d",
     "verify-hierarchy": "64c21e293d048cb15cc28348f7f1eb8e90d09ab591af7492cfdc7215cb69d592",
+    "verify-hierarchy-text": "8ed0076e1c80e0456466630c563e09c7e8ec43c681600d7719f61b1e4ba2b5a1",
 }
 
 CERTIFICATES_GOLDEN = "526bd0eeb4f4a12d599434ffa3ec4d5bcab82e49fade566971fc314c5d15e043"

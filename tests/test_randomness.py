@@ -224,6 +224,23 @@ def test_likelihood_mc_matches_exact_on_triangle() -> None:
     assert again.estimate == est.estimate
 
 
+def test_likelihood_mc_one_sided_bound_when_every_draw_agrees() -> None:
+    # no draw hits K3,3 (exact likelihood 23/259200), yet stderr reads 0
+    none = likelihood_mc(complete_bipartite(3, 3), samples=200, seed=0)
+    assert (none.hits, none.stderr) == (0, 0.0)
+    assert none.one_sided_bound == pytest.approx(0.014867, abs=1e-6)
+    assert none.one_sided_bound == 1 - 0.05 ** (1 / 200)
+    assert none.one_sided_bound > float(likelihood_exact(complete_bipartite(3, 3)))
+    # every draw on one vertex hits
+    every = likelihood_mc(complete_graph(1), samples=50, seed=0)
+    assert (every.hits, every.stderr) == (50, 0.0)
+    assert every.one_sided_bound == 0.05 ** (1 / 50)
+    # mixed draws leave the normal-approximation stderr in charge
+    mixed = likelihood_mc(complete_graph(3), samples=1000, seed=0)
+    assert 0 < mixed.hits < mixed.samples
+    assert mixed.one_sided_bound is None
+
+
 def test_likelihood_mc_rejects_sizes_outside_the_exact_range() -> None:
     # the 13-vertex target once failed only for seeds whose draws reached
     # the isomorphism test

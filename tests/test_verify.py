@@ -25,6 +25,8 @@ from graphforge.machines import (
     interpret,
     parse_rule,
 )
+from graphforge import verify
+from graphforge.families import fading_table_family, full_table_family
 from graphforge.verify import (
     PROPOSITION_IDS,
     enumerate_outputs,
@@ -176,3 +178,84 @@ def test_rewrite_family_certificates_match_the_isomorphism_scan() -> None:
         assert _rewrite_family_certificates(n) == members, n
         non_members += len(classes) - len(members)
     assert non_members > 0
+
+
+# ---------------------------------------------------------------------------
+# failure paths: one planted fault per check stage
+# ---------------------------------------------------------------------------
+
+MODELS_BY_NAME = {"none": NO_MEMORY, "full": FULL_MEMORY, "fading(2)": fading_memory(2)}
+
+
+def _assert_replays(cx) -> None:
+    """The counterexample's rule, model and string rebuild the graph it reports."""
+    got = interpret(parse_rule(cx.rule), MODELS_BY_NAME[cx.model], cx.x).final.graph
+    assert got == from_json(cx.got), cx
+
+
+def _planted(monkeypatch, name: str, fake, proposition: str, max_n: int):
+    """(passing report, report with verify.<name> replaced by fake)."""
+    clean = verify_proposition(proposition, max_n)
+    assert clean.passed
+    monkeypatch.setattr(verify, name, fake)
+    faulty = verify_proposition(proposition, max_n)
+    assert not faulty.passed
+    assert faulty.checked == clean.checked
+    assert faulty.to_text().endswith("result: FAIL\n")
+    return clean, faulty
+
+
+def test_p2_reports_a_wrong_closed_form(monkeypatch) -> None:
+    def family(rule, x):
+        if rule.mnemonic == "0>E,1>-" and x == "0110":
+            return full_table_family(parse_rule("0>-,1>-"), x)
+        return full_table_family(rule, x)
+
+    _, faulty = _planted(monkeypatch, "full_table_family", family, "P2", 5)
+    [cx] = faulty.counterexamples
+    assert (cx.rule, cx.model, cx.x, cx.choices) == ("0>E,1>-", "none", "0110", None)
+    assert cx.expected.startswith("closed form ")
+    assert from_json(cx.expected[len("closed form "):]).edge_count == 0
+    _assert_replays(cx)
+
+
+def test_p2_reports_a_failed_threshold_test(monkeypatch) -> None:
+    real = verify.is_threshold
+    # sizes above 6 skip the class comparison, so only the per-run test fires
+    _, faulty = _planted(monkeypatch, "is_threshold", lambda g: g.n != 7 and real(g), "P2", 7)
+    assert len(faulty.counterexamples) == 2**7
+    assert [cx.x for cx in faulty.counterexamples] == [format(k, "07b") for k in range(2**7)]
+    for cx in faulty.counterexamples:
+        assert (cx.rule, cx.expected) == ("0>E,1>-", "a threshold graph (elimination test)")
+        _assert_replays(cx)
+
+
+def test_p2_reports_a_class_set_mismatch(monkeypatch) -> None:
+    real = verify.enumerate_graph_classes
+
+    def classes(n):
+        # drop the triangle from the 3-vertex classes
+        return [c for c in real(n) if not (n == 3 and c.edge_count == 3)]
+
+    clean, faulty = _planted(monkeypatch, "enumerate_graph_classes", classes, "P2", 4)
+    [cx] = faulty.counterexamples
+    assert (cx.rule, cx.model, cx.choices) == ("0>E,1>-", "none", None)
+    assert cx.x == "all strings of length 3"
+    assert cx.expected == "exactly the threshold isomorphism classes"
+    assert cx.got == "4 classes vs 3 threshold classes"
+    assert faulty.notes == clean.notes
+
+
+def test_p5_reports_a_wrong_closed_form(monkeypatch) -> None:
+    def family(rule, x):
+        if rule.mnemonic == "0>1,1>0" and x == "0101":
+            return fading_table_family(parse_rule("0>E,1>E"), x)
+        return fading_table_family(rule, x)
+
+    clean, faulty = _planted(monkeypatch, "fading_table_family", family, "P5", 5)
+    [cx] = faulty.counterexamples
+    assert (cx.rule, cx.model, cx.x, cx.choices) == ("0>1,1>0", "fading(2)", "0101", None)
+    assert cx.expected.startswith("closed form ")
+    assert from_json(cx.expected[len("closed form "):]).edge_count == 6
+    assert faulty.notes == clean.notes
+    _assert_replays(cx)
