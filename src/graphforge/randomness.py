@@ -48,7 +48,9 @@ from .graphs import (
     complete_bipartite,
     is_isomorphic,
     _class_law,
+    _dyad_pos,
     _labeled_copy_masks,
+    _vertices,
 )
 from .machines import _check_edge_cap
 
@@ -168,42 +170,102 @@ class McEstimate:
         return None
 
 
-def _count_copies(g: Graph, draws) -> int:
-    """How many of the drawn edge lists, each on g's vertex set 1..n, form a
-    copy of g: the one Monte-Carlo hit loop, shared by likelihood_mc and
-    trees.tree_positivity_check.  The edge count and degree sequence of the
-    raw list reject most draws before a Graph is built for is_isomorphic.
-    Callers check their size bounds before the first draw."""
+# Monte-Carlo draws go straight into edge masks over the dyad positions of
+# `_dyad_pos(n)`.  They copy CPython 3.11's Random._randbelow(w), which is
+# getrandbits(w.bit_length()) redrawn while >= w, and the pool branch that
+# random.sample takes for a population of at most 21, so a seed gives the
+# same draws from the same stream as the samplers that call the stdlib.
+
+_WIDTHS = tuple(w.bit_length() for w in range(MAX_EXACT_N + 1))
+
+
+def _columns(n: int) -> list[tuple[int, list[int]]]:
+    """(t, bits) for t = 2..n: bits[v - 1] is the mask bit of the dyad (v, t)."""
+    pos = _dyad_pos(n)
+    return [(t, [1 << pos[v, t] for v in range(1, t)]) for t in range(2, n + 1)]
+
+
+def _va_masks(n: int, samples: int, rng: random.Random):
+    """Yield `samples` draws of `_sample_va_edges(n, Uniform(), rng)` as edge
+    masks, n <= MAX_EXACT_N: vertex t takes k = rng.randrange(t) earlier
+    neighbours, picked as rng.sample(range(1, t), k) picks them."""
+    getrandbits = rng.getrandbits
+    widths = _WIDTHS
+    steps = [(t, widths[t], bits) for t, bits in _columns(n)]
+    for _ in range(samples):
+        mask = 0
+        for t, w, bits in steps:
+            k = getrandbits(w)
+            while k >= t:
+                k = getrandbits(w)
+            if k:
+                pool = bits[:]
+                size = t - 1
+                for _ in range(k):
+                    w = widths[size]
+                    j = getrandbits(w)
+                    while j >= size:
+                        j = getrandbits(w)
+                    mask |= pool[j]
+                    size -= 1
+                    pool[j] = pool[size]
+        yield mask
+
+
+def _ua_masks(n: int, samples: int, rng: random.Random):
+    """Yield `samples` uniform-attachment trees as edge masks, n <= MAX_EXACT_N:
+    the parent of vertex t is rng.randrange(1, t), as in
+    `trees.sample_ua_parents`."""
+    getrandbits = rng.getrandbits
+    steps = [(t - 1, _WIDTHS[t - 1], bits) for t, bits in _columns(n)]
+    for _ in range(samples):
+        mask = 0
+        for size, w, bits in steps:
+            j = getrandbits(w)
+            while j >= size:
+                j = getrandbits(w)
+            mask |= bits[j]
+        yield mask
+
+
+def _count_copies(g: Graph, masks) -> int:
+    """How many of the drawn edge masks (over the dyad positions of
+    `_dyad_pos(g.n)`) are copies of g: the one Monte-Carlo hit loop, shared by
+    likelihood_mc and trees.tree_positivity_check.  For n <= MAX_LIKELIHOOD_N
+    a hit is membership in the set of g's labelled copies, built once per
+    call.  Above that, the edge count and degree sequence of the mask reject
+    most draws before a Graph is decoded for is_isomorphic.  Callers check
+    their size bounds before the first draw."""
     n = g.n
+    if n <= MAX_LIKELIHOOD_N:
+        return sum(map(frozenset(_labeled_copy_masks(g)).__contains__, masks))
+    pairs = list(_dyad_pos(n))
+    stars = [sum(1 << k for k, pair in enumerate(pairs) if v in pair) for v in range(1, n + 1)]
     target_m = g.edge_count
     target_deg = g.degree_sequence()
     hits = 0
-    for edges in draws:
-        if len(edges) != target_m:
+    for mask in masks:
+        if mask.bit_count() != target_m:
             continue
-        degs = [0] * (n + 1)
-        for i, j in edges:
-            degs[i] += 1
-            degs[j] += 1
-        if tuple(sorted(degs[1:], reverse=True)) != target_deg:
+        if tuple(sorted(((mask & star).bit_count() for star in stars), reverse=True)) != target_deg:
             continue
-        if is_isomorphic(Graph(n, frozenset(edges)), g):
+        if is_isomorphic(Graph(n, frozenset(pairs[k] for k in _vertices(mask))), g):
             hits += 1
     return hits
 
 
 def likelihood_mc(g: Graph, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of likelihood_exact(g): run the uniform process
-    `samples` times and count draws isomorphic to g with the shared hit loop
-    `_count_copies`.  The size bound is checked before any draw."""
+    `samples` times, each draw straight into an edge mask (`_va_masks`, the
+    draws of `sample_vertex_addition`), and count copies of g with the
+    shared hit loop `_count_copies`.  The size bound is checked before any
+    draw."""
     if samples < 1:
         raise ValueError("need at least one sample")
     n = g.n
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"Monte-Carlo likelihood supported for 1 <= n <= {MAX_EXACT_N}, got {n}")
-    rng = random.Random(seed)
-    dist = Uniform()
-    hits = _count_copies(g, (_sample_va_edges(n, dist, rng) for _ in range(samples)))
+    hits = _count_copies(g, _va_masks(n, samples, random.Random(seed)))
     p_hat = hits / samples
     stderr = (p_hat * (1.0 - p_hat) / samples) ** 0.5
     return McEstimate(p_hat, stderr, hits, samples, seed)

@@ -33,8 +33,8 @@ from .graphs import (
     is_tree,
     _class_law,
 )
-from .machines import ResourceCost
-from .randomness import MAX_LIKELIHOOD_N, _count_copies
+from .machines import ResourceCost, _check_edge_cap
+from .randomness import MAX_LIKELIHOOD_N, _count_copies, _ua_masks
 
 MAX_TREE_CLASS_N = 7  # labelled trees: all n^(n-2) Pruefer codes; tree classes: graph classes
 
@@ -74,6 +74,7 @@ def sample_ua_parents(n: int, seed: int) -> ParentVector:
     """Uniform attachment: the parent of vertex t is uniform on 1..t-1."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    _check_edge_cap(n - 1, f"a {n}-vertex tree")
     rng = random.Random(seed)
     return ParentVector(n, tuple(rng.randrange(1, t) for t in range(2, n + 1)))
 
@@ -184,10 +185,11 @@ def ua_likelihood_exact(t_graph: Graph) -> Fraction:
 
 
 def tree_positivity_check(t_graph: Graph, samples: int, seed: int) -> tuple[int, float]:
-    """Count uniform-attachment samples isomorphic to t_graph with the hit
-    loop that likelihood_mc shares; any tree shape has positive likelihood,
-    so enough samples should always score hits.  The size bound is checked
-    before any draw."""
+    """Count uniform-attachment samples isomorphic to t_graph: each draw
+    goes straight into an edge mask (`randomness._ua_masks`, the draws of
+    `sample_ua_parents`) and the hit loop that likelihood_mc shares counts
+    the copies.  Any tree shape has positive likelihood, so enough samples
+    should always score hits.  The size bound is checked before any draw."""
     if samples < 1:
         raise ValueError("need at least one sample")
     if not is_tree(t_graph):
@@ -195,9 +197,7 @@ def tree_positivity_check(t_graph: Graph, samples: int, seed: int) -> tuple[int,
     n = t_graph.n
     if n > MAX_EXACT_N:
         raise ValueError(f"positivity check supported for n <= {MAX_EXACT_N}, got {n}")
-    rng = random.Random(seed)
-    draws = ([(rng.randrange(1, t), t) for t in range(2, n + 1)] for _ in range(samples))
-    hits = _count_copies(t_graph, draws)
+    hits = _count_copies(t_graph, _ua_masks(n, samples, random.Random(seed)))
     return hits, hits / samples
 
 

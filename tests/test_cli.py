@@ -277,6 +277,9 @@ def test_bounds_rejected_before_any_work(capsys) -> None:
     for argv in (["random", "gnp", "--n", "1449", "--p", "0"], ["random", "va", "--n", "1449"]):
         assert main([*argv, "--seed", "1"]) == 2
         assert "may build 1049076 edges" in capsys.readouterr().err
+    # a tree has n - 1 edges: 1,048,577 vertices is the largest tree sample
+    assert main(["tree", "sample", "--n", "1048578", "--seed", "1"]) == 2
+    assert "a 1048578-vertex tree may build 1048577 edges" in capsys.readouterr().err
 
 
 def test_matrix_format_exits_2_above_cap(capsys, monkeypatch) -> None:

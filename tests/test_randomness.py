@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from graphforge import randomness
 from graphforge.graphs import (
+    MAX_EXACT_N,
     Graph,
+    _dyad_pos,
     canonical_form,
     complete_bipartite,
     complete_graph,
@@ -279,12 +281,76 @@ def _va_hits_reference(g: Graph, samples: int, seed: int) -> int:
 def test_likelihood_mc_matches_the_reference_hit_loop() -> None:
     targets = [
         complete_graph(3), path_graph(4), cycle_graph(5), path_graph(6), complete_bipartite(3, 3),
+        cycle_graph(7), path_graph(7),  # the last size on the copy-mask route
     ]
     for g in targets:
         for seed in range(10):
             assert likelihood_mc(g, samples=1000, seed=seed).hits == _va_hits_reference(
                 g, 1000, seed
             ), (g, seed)
+    # 7 vertices end the copy-mask route, 8 and 12 take the is_isomorphic
+    # route; a target equal to its seed's first draw makes each route score hits
+    for n in (7, 8, 12):
+        for seed in range(5):
+            g = sample_vertex_addition(n, Uniform(), seed)
+            hits = likelihood_mc(g, samples=300, seed=seed).hits
+            assert hits >= 1
+            assert hits == _va_hits_reference(g, 300, seed), (n, seed)
+    for g in (cycle_graph(8), path_graph(12)):
+        for seed in range(3):
+            assert likelihood_mc(g, samples=300, seed=seed).hits == _va_hits_reference(g, 300, seed)
+
+
+def test_mask_draws_copy_the_stdlib_draws() -> None:
+    """`_va_masks` and `_ua_masks` inline CPython 3.11's Random._randbelow
+    and the pool branch of random.sample.  A Python whose algorithms differ
+    fails here instead of silently changing every Monte-Carlo count: each
+    draw's mask must be the one that rng.randrange(t) and
+    rng.sample(range(1, t), k) (or rng.randrange(1, t)) on a twin generator
+    give, every (t, k) with t <= 12 must occur at every seed, and both
+    generators must end in the same state.  The mask holds the set of picks;
+    the shared end state pins how many draws of which width made them."""
+    n = MAX_EXACT_N
+    pos = _dyad_pos(n)
+    samples = 400
+    for seed in range(6):
+        rng, twin = random.Random(seed), random.Random(seed)
+        seen = set()
+        want = []
+        for _ in range(samples):
+            mask = 0
+            for t in range(2, n + 1):
+                k = twin.randrange(t)
+                seen.add((t, k))
+                for v in twin.sample(range(1, t), k):
+                    mask |= 1 << pos[v, t]
+            want.append(mask)
+        assert list(randomness._va_masks(n, samples, rng)) == want, seed
+        assert rng.getstate() == twin.getstate(), seed
+        assert seen == {(t, k) for t in range(2, n + 1) for k in range(t)}, seed
+        rng, twin = random.Random(seed), random.Random(seed)
+        seen = set()
+        want = []
+        for _ in range(samples):
+            mask = 0
+            for t in range(2, n + 1):
+                v = twin.randrange(1, t)
+                seen.add((t, v))
+                mask |= 1 << pos[v, t]
+            want.append(mask)
+        assert list(randomness._ua_masks(n, samples, rng)) == want, seed
+        assert rng.getstate() == twin.getstate(), seed
+        assert seen == {(t, v) for t in range(2, n + 1) for v in range(1, t)}, seed
+
+
+def test_small_targets_build_no_graph_per_draw(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the copy-mask route decodes no draw")
+
+    monkeypatch.setattr(randomness, "is_isomorphic", refuse)
+    monkeypatch.setattr(randomness, "Graph", refuse)
+    for g in (complete_graph(1), complete_graph(3), cycle_graph(7), path_graph(7)):
+        assert likelihood_mc(g, samples=500, seed=3).hits == _va_hits_reference(g, 500, 3)
 
 
 def test_extremes_table_shape() -> None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphforge import randomness
 from graphforge.graphs import (
     Graph,
     canonical_form,
@@ -19,6 +20,7 @@ from graphforge.graphs import (
     path_graph,
     relabel,
 )
+from graphforge.machines import MAX_BUILD_EDGES
 from graphforge.randomness import distinct_labeled_copies
 from graphforge.trees import (
     ParentVector,
@@ -200,11 +202,50 @@ def _ua_hits_reference(t_graph: Graph, samples: int, seed: int) -> int:
 
 
 def test_tree_positivity_check_matches_the_reference_hit_loop() -> None:
-    for tree in (path_graph(5), path_graph(6), complete_bipartite(1, 4), complete_bipartite(1, 5)):
+    trees = (
+        path_graph(5), path_graph(6), complete_bipartite(1, 4), complete_bipartite(1, 5),
+        path_graph(7), complete_bipartite(1, 6),  # the last size on the copy-mask route
+    )
+    for tree in trees:
         for seed in range(10):
             assert tree_positivity_check(tree, samples=1000, seed=seed)[0] == _ua_hits_reference(
                 tree, 1000, seed
             ), (tree, seed)
+    # 7 vertices end the copy-mask route, 8 and 12 take the is_isomorphic
+    # route; a tree equal to its seed's first draw makes each route score hits
+    for n in (7, 8, 12):
+        for seed in range(5):
+            tree = sample_ua(n, seed)
+            hits = tree_positivity_check(tree, samples=300, seed=seed)[0]
+            assert hits >= 1
+            assert hits == _ua_hits_reference(tree, 300, seed), (n, seed)
+    for seed in range(3):
+        assert tree_positivity_check(path_graph(8), samples=300, seed=seed)[0] == _ua_hits_reference(
+            path_graph(8), 300, seed
+        )
+
+
+def test_small_trees_build_no_graph_per_draw(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the copy-mask route decodes no draw")
+
+    monkeypatch.setattr(randomness, "is_isomorphic", refuse)
+    monkeypatch.setattr(randomness, "Graph", refuse)
+    for tree in (path_graph(2), path_graph(7), complete_bipartite(1, 6)):
+        assert tree_positivity_check(tree, samples=500, seed=3)[0] == _ua_hits_reference(tree, 500, 3)
+
+
+def test_ua_sampler_rejects_sizes_over_the_edge_cap() -> None:
+    # an n-vertex tree has n - 1 edges: n = MAX_BUILD_EDGES + 1 is the largest
+    n = MAX_BUILD_EDGES + 2
+    with pytest.raises(ValueError, match=f"a {n}-vertex tree may build {n - 1} edges; limit"):
+        sample_ua_parents(n, seed=0)
+    with pytest.raises(ValueError, match=f"a {n}-vertex tree may build"):
+        sample_ua(n, seed=0)
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        sample_ua_parents(-(10**9), seed=0)
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        sample_ua_parents(0, seed=0)
 
 
 def test_tree_positivity_check_rejects_sizes_outside_the_exact_range() -> None:
