@@ -344,11 +344,20 @@ def canonical_form(g: Graph) -> bytes:
     return cert
 
 
-def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _refine(
+    rows: tuple[int, ...], cells: list[tuple[int, ...]], quiet: frozenset
+) -> list[tuple[int, ...]]:
     """Equitable refinement; splits are ordered by neighbour count, so the
-    resulting ordered partition is invariant under vertex relabelling."""
-    while True:
-        for splitter in list(cells):
+    resulting ordered partition is invariant under vertex relabelling.
+    Each pass splits every cell by the first cell that splits anything. A
+    cell that split nothing in a coarser partition splits nothing in a
+    finer one, so such cells, and those in `quiet`, are not tried again."""
+    quiet = set(quiet)
+    while len(cells) < len(rows) - 1:
+        for splitter in cells:
+            if splitter in quiet:
+                continue
+            quiet.add(splitter)
             smask = 0
             for v in splitter:
                 smask |= 1 << v
@@ -371,7 +380,8 @@ def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[i
                 cells = new_cells
                 break
         else:
-            return cells
+            break
+    return cells
 
 
 def _pairwise_twins(rows: tuple[int, ...], cell: tuple[int, ...]) -> bool:
@@ -396,8 +406,8 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
         if best[0] is None or s < best[0]:
             best[0] = s
 
-    def search(cells: list[tuple[int, ...]]) -> None:
-        cells = _refine(rows, cells)
+    def search(cells: list[tuple[int, ...]], quiet: frozenset) -> None:
+        cells = _refine(rows, cells, quiet)
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
@@ -406,11 +416,13 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
             return
         cell = cells[idx]
         branch = (cell[0],) if _pairwise_twins(rows, cell) else cell
+        # an equitable partition's cells split nothing in any child
+        quiet = frozenset(cells)
         for v in branch:
             rest = tuple(u for u in cell if u != v)
-            search(cells[:idx] + [(v,), rest] + cells[idx + 1 :])
+            search(cells[:idx] + [(v,), rest] + cells[idx + 1 :], quiet)
 
-    search([tuple(range(1, n + 1))])
+    search([tuple(range(1, n + 1))], frozenset())
     assert best[0] is not None
     return best[0]
 

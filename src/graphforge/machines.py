@@ -21,6 +21,12 @@ What "earlier vertices labelled c" means depends on the memory model:
                   current bit to every vertex with the action's target label,
                   retroactively saturating that label pair
 
+_step is the step semantics: it places one vertex onto a run prefix and
+records the edges it adds. It has two loops: _run replays one string from
+step 1 (interpret, interpret_modifiable, the CLI's build), and verify._runs
+walks every string of a length depth-first, so strings that share a prefix
+share its steps. _check_run refuses illegal runs before either loop starts.
+
 Rules are written as mnemonics like "0>1,1>-": bit 0 joins label-1 vertices,
 bit 1 adds nothing ("-" is NoEdge, "E" is DominateAll, "0"/"1" are joins).
 Swapping the bit alphabet maps rules onto each other; the canonical ten rule
@@ -30,6 +36,7 @@ tables below are one representative per swap orbit.
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -281,10 +288,7 @@ def interpret(rule: RuleSet, model: MemoryModel, x: str) -> ConstructionTrace:
     """Run the construction. The empty string yields the empty graph and a
     single-bit string yields K1 regardless of the rule."""
     labels = _check_instruction_string(x)
-    if model.kind == "none" and rule.uses_labels():
-        raise InvalidActionForModel(
-            f"rule {rule.mnemonic} joins by label but the model stores no labels"
-        )
+    _check_run(rule, model, len(x))
     return _run(rule, model, x, labels, "s" * len(x) if model.kind == "modifiable" else None)
 
 
@@ -306,7 +310,9 @@ def interpret_modifiable(rule: RuleSet, x: str, choices) -> ConstructionTrace:
     vertex to every c-labelled vertex placed so far (the new vertex counts),
     which can retroactively add edges between old vertices."""
     labels = _check_instruction_string(x)
-    return _run(rule, MODIFIABLE, x, labels, _normalize_choices(choices, len(x)))
+    choices = _normalize_choices(choices, len(x))
+    _check_run(rule, MODIFIABLE, len(x))
+    return _run(rule, MODIFIABLE, x, labels, choices)
 
 
 def _check_edge_cap(worst: int, what: str) -> None:
@@ -315,45 +321,65 @@ def _check_edge_cap(worst: int, what: str) -> None:
         raise ValueError(f"{what} may build {worst} edges; limit {MAX_BUILD_EDGES}")
 
 
-def _run(
-    rule: RuleSet, model: MemoryModel, x: str, labels: tuple[int, ...], choices: str | None
-) -> ConstructionTrace:
-    """The step loop shared by every memory model. `choices` is None outside
-    the modifiable model. Each step records only edges not already present."""
-    n = len(labels)
+def _check_run(rule: RuleSet, model: MemoryModel, n: int) -> None:
+    """Refuse, before the first step, a rule that joins by label under a
+    model that stores none, and n-bit runs over the edge cap."""
+    if model.kind == "none" and rule.uses_labels():
+        raise InvalidActionForModel(
+            f"rule {rule.mnemonic} joins by label but the model stores no labels"
+        )
     dominates = Action.DOMINATE_ALL in (rule.action_for(0), rule.action_for(1))
     worst = n - 1 if model.kind == "fading" and not dominates else comb(n, 2)
     _check_edge_cap(worst, f"a {n}-bit run under {model}")
+
+
+def _step(
+    rule: RuleSet, fading: bool, labels: tuple[int, ...], edges: Set[tuple[int, int]],
+    t: int, modify: bool,
+) -> StepRecord:
+    """Step t: place vertex t, labelled labels[t - 1], onto the graph whose
+    edges are `edges`, and record the edges its action adds that are not
+    already there, sorted. Only labels[:t] is read. `fading` selects the
+    two-step window; `modify` replaces the step by its label-pair rewrite."""
+    bit = labels[t - 1]
+    action = rule.action_for(bit)
+    c = action.join_target
+    if modify:
+        if c is None:
+            raise ModifyUnsupported(
+                f"step {t} fires {action.value!r}; only label joins can be modified"
+            )
+        want = {(bit, c), (c, bit)}
+        added = tuple(
+            (i, j)
+            for i in range(1, t + 1)
+            for j in range(i + 1, t + 1)
+            if (labels[i - 1], labels[j - 1]) in want and (i, j) not in edges
+        )
+    elif action is Action.DOMINATE_ALL:
+        added = tuple((i, t) for i in range(1, t))
+    elif c is None:
+        added = ()
+    elif fading:  # window 2: only the previous label is readable
+        added = ((t - 1, t),) if t > 1 and labels[t - 2] == c else ()
+    else:
+        added = tuple((i, t) for i in range(1, t) if labels[i - 1] == c)
+    return StepRecord(t, bit, action, modify, added)
+
+
+def _run(
+    rule: RuleSet, model: MemoryModel, x: str, labels: tuple[int, ...], choices: str | None
+) -> ConstructionTrace:
+    """One run, step by step; `choices` is None outside the modifiable model.
+    Callers check the run with _check_run first."""
+    fading = model.kind == "fading"
     steps: list[StepRecord] = []
     edges: set[tuple[int, int]] = set()
-    for t in range(1, n + 1):
-        bit = labels[t - 1]
-        action = rule.action_for(bit)
-        c = action.join_target
-        modify = choices is not None and choices[t - 1] == "m"
-        added: list[tuple[int, int]] = []
-        if modify:
-            if c is None:
-                raise ModifyUnsupported(
-                    f"step {t} fires {action.value!r}; only label joins can be modified"
-                )
-            want = {bit, c}
-            for i in range(1, t + 1):
-                for j in range(i + 1, t + 1):
-                    if {labels[i - 1], labels[j - 1]} == want and (i, j) not in edges:
-                        added.append((i, j))
-        elif action is Action.DOMINATE_ALL:
-            added = [(i, t) for i in range(1, t)]
-        elif c is not None:
-            if model.kind == "fading":  # window 2: only the previous label is readable
-                if t > 1 and labels[t - 2] == c:
-                    added = [(t - 1, t)]
-            else:
-                added = [(i, t) for i in range(1, t) if labels[i - 1] == c]
-        edges.update(added)
-        steps.append(StepRecord(t, bit, action, modify, tuple(sorted(added))))
-
-    final = LabeledGraph(Graph(n, frozenset(edges)), labels)
+    for t in range(1, len(labels) + 1):
+        rec = _step(rule, fading, labels, edges, t, choices is not None and choices[t - 1] == "m")
+        edges.update(rec.edges_added)
+        steps.append(rec)
+    final = LabeledGraph(Graph(len(labels), frozenset(edges)), labels)
     return ConstructionTrace(rule, model, x, choices, tuple(steps), final)
 
 

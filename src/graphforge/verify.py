@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from itertools import product
 
 from .families import (
     alternating_runs,
@@ -78,6 +77,7 @@ from .machines import (
     NO_MEMORY,
     NO_MEMORY_RULES,
     ConstructionTrace,
+    LabeledGraph,
     MemoryModel,
     RuleSet,
     fading_memory,
@@ -85,6 +85,8 @@ from .machines import (
     interpret_modifiable,
     memory_modifiable_steps,
     parse_rule,
+    _check_run,
+    _step,
 )
 
 PROPOSITION_IDS = ("P2", "P3", "P5", "C_modifiable", "C_pnfree")
@@ -167,25 +169,36 @@ def _rules_for(model: MemoryModel) -> tuple[RuleSet, ...]:
     return NO_MEMORY_RULES if model.kind == "none" else FULL_RULES
 
 
-def _choice_strings(rule: RuleSet, x: str):
-    """Every legal choice sequence: a step may modify only when its action is
-    a label join."""
-    options = []
-    for ch in x:
-        action = rule.action_for(int(ch))
-        options.append("sm" if action.join_target is not None else "s")
-    yield from map("".join, product(*options))
-
-
 def _runs(rule: RuleSet, model: MemoryModel, n: int):
     """Every trace of the rule at string length n, strings in numeric order;
-    under the modifiable model, one trace per legal choice sequence."""
-    for x in _strings(n):
-        if model.kind == "modifiable":
-            for choices in _choice_strings(rule, x):
-                yield interpret_modifiable(rule, x, choices)
-        else:
-            yield interpret(rule, model, x)
+    under the modifiable model, one trace per legal choice sequence of each
+    string, in product order ("s" before "m"). The walk is depth-first over
+    run prefixes, on the bit trie (modifiable: each string's choice trie),
+    pushing children in reverse so that traces leave in order. One _step
+    extends a prefix, so siblings share their parent's steps."""
+    _check_run(rule, model, n)
+    fading = model.kind == "fading"
+    for x in _strings(n) if model.kind == "modifiable" else [None]:
+        stack = [("", (), "", (), frozenset())]
+        while stack:
+            prefix, labels, choices, steps, edges = stack.pop()
+            t = len(labels)
+            if t == n:
+                final = LabeledGraph(Graph(n, edges), labels)
+                chosen = None if x is None else choices
+                yield ConstructionTrace(rule, model, prefix, chosen, steps, final)
+                continue
+            if x is None:
+                branches = ((1, "s"), (0, "s"))
+            else:
+                bit = int(x[t])
+                join = rule.action_for(bit).join_target is not None
+                branches = ((bit, "m"), (bit, "s")) if join else ((bit, "s"),)
+            for bit, choice in branches:
+                grown = labels + (bit,)
+                rec = _step(rule, fading, grown, edges, t + 1, choice == "m")
+                stack.append((prefix + "01"[bit], grown, choices + choice, steps + (rec,),
+                              edges.union(rec.edges_added)))
 
 
 def _check_enumeration_bound(model: MemoryModel, n: int, what: str) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import combinations
 from math import comb
 
@@ -40,6 +41,7 @@ from graphforge.graphs import (
     to_json,
     _small_iso_masks,
 )
+from graphforge import graphs as graphs_module
 from graphforge.trees import sample_ua
 
 # Isomorphism-class counts for simple graphs on n = 1..6 vertices.
@@ -323,3 +325,91 @@ def test_small_iso_masks_match_isomorphism_scan() -> None:
             h = _mask_graph(k, hmask)
             scan = {m for m in range(1 << comb(k, 2)) if is_isomorphic(_mask_graph(k, m), h)}
             assert _small_iso_masks(h) == scan
+
+
+# ---------------------------------------------------------------------------
+# the refinement search against its version without quiet splitters
+# ---------------------------------------------------------------------------
+
+def _refine_reference(rows, cells):
+    """Equitable refinement that retries every cell as a splitter after
+    each split: the first cell that splits anything splits every cell."""
+    while True:
+        for splitter in list(cells):
+            smask = sum(1 << v for v in splitter)
+            new_cells = []
+            split = False
+            for cell in cells:
+                buckets: dict[int, list[int]] = {}
+                for v in cell:
+                    buckets.setdefault((rows[v] & smask).bit_count(), []).append(v)
+                split = split or len(buckets) > 1
+                new_cells.extend(tuple(buckets[k]) for k in sorted(buckets))
+            if split:
+                cells = new_cells
+                break
+        else:
+            return cells
+
+
+def _canon_search_reference(n, rows, refine, seen):
+    """The certificate search, appending each node's refined partition to
+    `seen`; it refines through `refine` and passes no quiet cells."""
+    best = None
+
+    def search(cells):
+        nonlocal best
+        cells = refine(rows, cells)
+        seen.append(cells)
+        wide = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not wide:
+            order = [c[0] for c in cells]
+            s = "".join(
+                "1" if (rows[order[p]] >> order[q]) & 1 else "0"
+                for p in range(n)
+                for q in range(p + 1, n)
+            )
+            best = s if best is None or s < best else best
+            return
+        idx = wide[0]
+        cell = cells[idx]
+        twins = all(
+            rows[a] & ~((1 << a) | (1 << b)) == rows[b] & ~((1 << a) | (1 << b))
+            for a, b in combinations(cell, 2)
+        )
+        for v in cell[:1] if twins else cell:
+            rest = tuple(u for u in cell if u != v)
+            search(cells[:idx] + [(v,), rest] + cells[idx + 1 :])
+
+    search([tuple(range(1, n + 1))])
+    return best
+
+
+def test_quiet_splitters_keep_every_partition(monkeypatch) -> None:
+    """Same certificate as the reference search, and the same ordered
+    partition at every search node."""
+    refine = graphs_module._refine
+    got: list = []
+
+    def recording(rows, cells, quiet):
+        got.append(refine(rows, cells, quiet))
+        return got[-1]
+
+    monkeypatch.setattr(graphs_module, "_refine", recording)
+
+    def check(g: Graph) -> None:
+        want: list = []
+        cert = _canon_search_reference(g.n, g.rows, _refine_reference, want)
+        got.clear()
+        assert graphs_module._canon_search(g.n, g.rows) == cert
+        assert got == want
+
+    # every labelled graph on up to 5 vertices, every seventh mask at n = 6
+    # (a stride coprime to 2, so every pattern of low dyad bits occurs)
+    for n in range(2, 7):
+        for mask in range(0, 1 << comb(n, 2), 7 if n == 6 else 1):
+            check(_mask_graph(n, mask))
+    rng = random.Random(7)
+    for n in range(7, 13):
+        for _ in range(200):
+            check(_mask_graph(n, rng.getrandbits(comb(n, 2))))

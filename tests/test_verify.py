@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 
@@ -19,10 +20,14 @@ from graphforge.graphs import (
 )
 from graphforge.machines import (
     FULL_MEMORY,
+    FULL_RULES,
     MODIFIABLE,
     NO_MEMORY,
+    NO_MEMORY_RULES,
+    InvalidActionForModel,
     fading_memory,
     interpret,
+    interpret_modifiable,
     parse_rule,
 )
 from graphforge import verify
@@ -156,6 +161,47 @@ def test_enumeration_rejects_negative_sizes() -> None:
     # the upper-bound message is unchanged
     with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
         enumerate_outputs(rule, MODIFIABLE, 8)
+    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+        enumerate_outputs(rule, FULL_MEMORY, 13)
+
+
+def test_enumeration_refuses_label_rules_without_memory() -> None:
+    rule = parse_rule("0>1,1>-")
+    with pytest.raises(InvalidActionForModel) as direct:
+        interpret(rule, NO_MEMORY, "010")
+    message = "rule 0>1,1>- joins by label but the model stores no labels"
+    assert str(direct.value) == message
+    for n in (0, 3):
+        with pytest.raises(InvalidActionForModel) as raised:
+            enumerate_outputs(rule, NO_MEMORY, n)
+        assert str(raised.value) == message
+
+
+def _choice_strings_reference(rule, x: str):
+    """Every legal choice sequence in product order: a step may modify only
+    when its action is a label join."""
+    options = ["sm" if rule.action_for(int(ch)).join_target is not None else "s" for ch in x]
+    yield from map("".join, product(*options))
+
+
+def _runs_by_replay(rule, model, n: int):
+    """The enumerator before prefixes were shared: every string, and every
+    choice sequence, replayed from step 1."""
+    for x in verify._strings(n):
+        if model.kind == "modifiable":
+            for choices in _choice_strings_reference(rule, x):
+                yield interpret_modifiable(rule, x, choices)
+        else:
+            yield interpret(rule, model, x)
+
+
+def test_shared_prefix_walk_matches_replay() -> None:
+    cases = [(NO_MEMORY, NO_MEMORY_RULES, 8), (FULL_MEMORY, FULL_RULES, 8)]
+    cases += [(fading_memory(2), FULL_RULES, 8), (MODIFIABLE, FULL_RULES, 6)]
+    for model, rules, max_n in cases:
+        for rule in rules:
+            for n in range(max_n + 1):
+                assert list(verify._runs(rule, model, n)) == list(_runs_by_replay(rule, model, n))
 
 
 def _rewrite_family_member_reference(g: Graph) -> bool:
