@@ -22,6 +22,7 @@ or 2K2).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -275,7 +276,8 @@ def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
     rows_g = g.rows
     rows_h = h.rows
     # Assign scarce signatures first to prune early.
-    order = sorted(range(1, n + 1), key=lambda v: (sorted(sig_g.values()).count(sig_g[v]), -g.degree(v)))
+    mult = Counter(sig_g.values())
+    order = sorted(range(1, n + 1), key=lambda v: (mult[sig_g[v]], -g.degree(v)))
     candidates = {v: [u for u in range(1, n + 1) if sig_h[u] == sig_g[v]] for v in order}
     image = {}
     used = set()
@@ -463,27 +465,59 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
 # induced-subgraph containment
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _small_iso_masks(h: Graph) -> frozenset[int]:
-    """All edge masks on |V(h)| labelled vertices isomorphic to h (|V| <= 4)."""
-    return frozenset(_labeled_copy_masks(h))
+# The walk places the vertices of an ascending vertex tuple at positions
+# 0, 1, ... and packs the induced edges in colex order: positions b < a sit at
+# bit C(a,2) + b.  Position a's back-edges are then the next a bits, and a
+# mask's restriction to its first a positions is its low C(a,2) bits, so a
+# prefix is dropped as soon as those bits match no table mask's.
+
+# contains_induced walks pattern graphs up to this size; each table costs k!
+# permutations to build, and there are 209 classes on at most 6 vertices.
+_MAX_WALK_K = 6
+
+_PREFIX_LEVELS: dict[tuple[int, bytes], tuple[frozenset[int], ...]] = {}
 
 
-def _induces_mask_in(g: Graph, k: int, table: frozenset[int]) -> bool:
-    """True when some k-subset of g induces an edge mask (on positions
-    1..k in subset order) that lies in table."""
+def _copy_levels(h: Graph) -> tuple[frozenset[int], ...]:
+    """levels[a] (a = 0..k) holds the colex edge masks on positions
+    0..a-1 of h's labelled copies on k = |V(h)| vertices, built once per
+    (k, class) and kept."""
+    k = h.n
+    key = (k, canonical_form(h))
+    levels = _PREFIX_LEVELS.get(key)
+    if levels is None:
+        colex = [comb(j - 1, 2) + i - 1 for i, j in _dyad_pos(k)]
+        full = {sum(1 << colex[p] for p in _vertices(m)) for m in _labeled_copy_masks(h)}
+        levels = tuple(frozenset(c & ((1 << comb(a, 2)) - 1) for c in full) for a in range(k + 1))
+        _PREFIX_LEVELS[key] = levels
+    return levels
+
+
+def _induces_mask_in(g: Graph, levels: tuple[frozenset[int], ...]) -> bool:
+    """True when some ascending k-tuple of g's vertices induces a colex edge
+    mask in levels[k], k = len(levels) - 1.  Prefixes are extended one
+    vertex at a time, depth first, and dropped when not in their level."""
+    k = len(levels) - 1
     rows = g.rows
-    dyad_pos = _dyad_pos(k)
-    for subset in combinations(range(1, g.n + 1), k):
-        m = 0
-        for a in range(k):
-            ra = rows[subset[a]]
-            for b in range(a + 1, k):
-                if (ra >> subset[b]) & 1:
-                    m |= 1 << dyad_pos[(a + 1, b + 1)]
-        if m in table:
-            return True
-    return False
+    n = g.n
+
+    def extend(mask: int, chosen: tuple[int, ...], low: int) -> bool:
+        a = len(chosen)
+        allowed = levels[a + 1]
+        first = 1 << (a * (a - 1) // 2)
+        for v in range(low, n - k + a + 2):
+            rv = rows[v]
+            m = mask
+            bit = first
+            for u in chosen:
+                if rv >> u & 1:
+                    m |= bit
+                bit <<= 1
+            if m in allowed and (a + 1 == k or extend(m, chosen + (v,), v + 1)):
+                return True
+        return False
+
+    return extend(0, (), 1)
 
 
 def contains_induced(g: Graph, h: Graph) -> bool:
@@ -493,8 +527,8 @@ def contains_induced(g: Graph, h: Graph) -> bool:
         return False
     if k == 0:
         return True
-    if k <= 4:
-        return _induces_mask_in(g, k, _small_iso_masks(h))
+    if k <= _MAX_WALK_K:
+        return _induces_mask_in(g, _copy_levels(h))
     return any(is_isomorphic(induced_subgraph(g, s), h) for s in combinations(range(1, g.n + 1), k))
 
 
@@ -518,14 +552,16 @@ def is_threshold(g: Graph) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _threshold_forbidden_levels() -> tuple[frozenset[int], ...]:
+    """The prefix levels of P4, C4 and 2K2 together, built once."""
+    shapes = (path_graph(4), cycle_graph(4), disjoint_union(path_graph(2), path_graph(2)))
+    return tuple(frozenset().union(*level) for level in zip(*map(_copy_levels, shapes)))
+
+
 def is_threshold_by_forbidden(g: Graph) -> bool:
     """Characterisation route: no induced P4, C4, or 2K2."""
-    bad = (
-        _small_iso_masks(path_graph(4))
-        | _small_iso_masks(cycle_graph(4))
-        | _small_iso_masks(disjoint_union(path_graph(2), path_graph(2)))
-    )
-    return not _induces_mask_in(g, 4, bad)
+    return not _induces_mask_in(g, _threshold_forbidden_levels())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from graphforge.graphs import (
     MAX_MATRIX_BITS,
     Graph,
+    add_vertex,
     automorphism_count,
     canonical_form,
     complete_bipartite,
@@ -39,7 +40,8 @@ from graphforge.graphs import (
     to_bitstring,
     to_dot,
     to_json,
-    _small_iso_masks,
+    _copy_levels,
+    _labeled_copy_masks,
 )
 from graphforge import graphs as graphs_module
 from graphforge.trees import sample_ua
@@ -158,7 +160,7 @@ def test_contains_induced() -> None:
 def test_contains_induced_matches_subset_certificates() -> None:
     answers = []
     for g in (g for n in range(7) for g in enumerate_graph_classes(n)):
-        for k in (5, 6):
+        for k in range(1, 7):
             subset_certs = {
                 canonical_form(induced_subgraph(g, s))
                 for s in combinations(range(1, g.n + 1), k)
@@ -167,6 +169,68 @@ def test_contains_induced_matches_subset_certificates() -> None:
                 answers.append(contains_induced(g, h))
                 assert answers[-1] == (canonical_form(h) in subset_certs), (g, h)
     assert any(answers) and not all(answers)
+
+
+def _scan_reference(g: Graph, k: int, table) -> bool:
+    """The full k-subset scan: True when some k-subset induces a row-major
+    edge mask (positions 1..k in subset order) in table."""
+    dyad_pos = {d: i for i, d in enumerate((i, j) for i in range(1, k) for j in range(i + 1, k + 1))}
+    for subset in combinations(range(1, g.n + 1), k):
+        m = 0
+        for a in range(k):
+            for b in range(a + 1, k):
+                if g.has_edge(subset[a], subset[b]):
+                    m |= 1 << dyad_pos[(a + 1, b + 1)]
+        if m in table:
+            return True
+    return False
+
+
+def _isomorphism_reference(g: Graph, h: Graph) -> bool:
+    """Some k-subset of g induces a graph isomorphic to h."""
+    return any(is_isomorphic(induced_subgraph(g, s), h) for s in combinations(range(1, g.n + 1), h.n))
+
+
+def test_contains_induced_matches_references_on_random_hosts() -> None:
+    """Labelled hosts on 7..12 vertices against the subset scan and the
+    subset-isomorphism loop, on the forbidden shapes and random patterns."""
+    rng = random.Random(10)
+    two_k2 = disjoint_union(path_graph(2), path_graph(2))
+    shapes = [path_graph(4), cycle_graph(4), two_k2, path_graph(5), cycle_graph(5), path_graph(6), cycle_graph(6)]
+    answers = set()
+    for n in range(7, 13):
+        for _ in range(8):
+            g = _mask_graph(n, rng.getrandbits(comb(n, 2)))
+            patterns = [_mask_graph(k, rng.getrandbits(comb(k, 2))) for k in range(1, 7)]
+            for h in shapes + patterns:
+                got = contains_induced(g, h)
+                assert got == _scan_reference(g, h.n, _labeled_copy_masks(h)), (g, h)
+                if h.n >= 5:
+                    assert got == _isomorphism_reference(g, h), (g, h)
+                answers.add(got)
+    assert answers == {True, False}
+    # E_5 and E_6 have equal copy tables, {0}, at different sizes
+    e6 = empty_graph(6)
+    assert contains_induced(e6, empty_graph(5)) and contains_induced(e6, e6)
+    one_edge = Graph(6, frozenset({(1, 2)}))
+    assert contains_induced(one_edge, empty_graph(5)) and not contains_induced(one_edge, e6)
+
+
+def test_copy_tables_are_kept_once_per_class(monkeypatch) -> None:
+    """Relabelled patterns share one table, keyed by size and certificate."""
+    monkeypatch.setattr(graphs_module, "_PREFIX_LEVELS", {})
+    rng = random.Random(11)
+    host = _mask_graph(9, rng.getrandbits(comb(9, 2)))
+    keys = set()
+    for k in range(1, 7):
+        for _ in range(40):
+            h = _mask_graph(k, rng.getrandbits(comb(k, 2)))
+            contains_induced(host, h)
+            keys.add((k, canonical_form(h)))
+    contains_induced(host, empty_graph(5))
+    contains_induced(host, empty_graph(6))
+    keys |= {(5, canonical_form(empty_graph(5))), (6, canonical_form(empty_graph(6)))}
+    assert set(graphs_module._PREFIX_LEVELS) == keys
 
 
 def test_contains_induced_checks_the_isomorphism_bound() -> None:
@@ -195,6 +259,35 @@ def test_threshold_dual_route_agreement(data) -> None:
     picked = data.draw(st.sets(st.sampled_from(dyads)) if dyads else st.just(set()))
     g = Graph(n, frozenset(picked))
     assert is_threshold(g) == is_threshold_by_forbidden(g)
+
+
+def _threshold_build(bits: list[int]) -> Graph:
+    """Add each vertex isolated (bit 0) or dominating (bit 1)."""
+    g = empty_graph(0)
+    for bit in bits:
+        g = add_vertex(g, range(1, g.n + 1) if bit else ())
+    return g
+
+
+def test_threshold_dual_route_agreement_exhaustive_and_random() -> None:
+    """Both routes agree on every labelled graph with n <= 5, every class
+    with n <= 7, and seeded random hosts with n = 8..12, half of them
+    threshold graphs with at most one edge flipped."""
+    graphs = [_mask_graph(n, m) for n in range(6) for m in range(1 << comb(n, 2))]
+    graphs += [g for n in range(8) for g in enumerate_graph_classes(n)]
+    rng = random.Random(12)
+    for i in range(300):
+        n = 8 + i % 5
+        if i % 2:
+            g = _mask_graph(n, rng.getrandbits(comb(n, 2)))
+        else:
+            g = _threshold_build([rng.getrandbits(1) for _ in range(n)])
+            flip = rng.sample(list(combinations(range(1, n + 1), 2)), rng.randrange(2))
+            g = Graph(n, g.edges ^ frozenset(flip))
+        graphs.append(g)
+    answers = [is_threshold(g) for g in graphs]
+    assert answers == [is_threshold_by_forbidden(g) for g in graphs]
+    assert set(answers) == {True, False} and set(answers[-300:]) == {True, False}
 
 
 def test_connected_components() -> None:
@@ -320,11 +413,21 @@ def test_adjacency_index_on_trees_and_out_of_range_vertices() -> None:
 
 
 def test_small_iso_masks_match_isomorphism_scan() -> None:
+    """The copy table's top level is every labelled graph isomorphic to h
+    as a colex edge mask (dyad (i, j) at bit C(j-1, 2) + i-1); level a is
+    its restriction to the first a vertices."""
+
+    def colex(g: Graph) -> int:
+        return sum(1 << (comb(j - 1, 2) + i - 1) for i, j in g.edges)
+
     for k in range(5):
         for hmask in range(1 << comb(k, 2)):
             h = _mask_graph(k, hmask)
-            scan = {m for m in range(1 << comb(k, 2)) if is_isomorphic(_mask_graph(k, m), h)}
-            assert _small_iso_masks(h) == scan
+            scan = {colex(g) for g in (_mask_graph(k, m) for m in range(1 << comb(k, 2))) if is_isomorphic(g, h)}
+            levels = _copy_levels(h)
+            assert len(levels) == k + 1 and levels[k] == scan
+            for a in range(k + 1):
+                assert levels[a] == {c & ((1 << comb(a, 2)) - 1) for c in scan}
 
 
 # ---------------------------------------------------------------------------
