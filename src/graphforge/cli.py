@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from .graphs import (
+    LIMITS,
     Graph,
     complete_bipartite,
     complete_graph,
@@ -142,7 +143,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.proposition == "hierarchy":
-        report = hierarchy_report(args.max_n if args.max_n is not None else 8)
+        report = hierarchy_report() if args.max_n is None else hierarchy_report(args.max_n)
     else:
         report = verify_proposition(args.proposition, args.max_n)
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
@@ -288,20 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
+    law_n, extremes_n = LIMITS["class_law_n"], LIMITS["extremes_n"]
     p_like = sub.add_parser(
         "likelihood",
         help="exact, Monte-Carlo, or extremal likelihood under the uniform vertex-addition process",
         description="The likelihood of a graph is the probability that the uniform "
         "vertex-addition process produces something isomorphic to it. "
-        "--exact reads the exact rational law of the process on isomorphism classes (n <= 7); "
+        f"--exact reads the exact rational law of the process on isomorphism classes (n <= {law_n}); "
         "--bounds derives two-sided automorphism bounds; --extremes tabulates every "
         "isomorphism class at size n. " + GRAPH_SPEC_HELP,
     )
     p_like.add_argument("--graph", help=GRAPH_SPEC_HELP)
-    p_like.add_argument("--exact", action="store_true", help="exact rational likelihood (n <= 7)")
+    p_like.add_argument("--exact", action="store_true", help=f"exact rational likelihood (n <= {law_n})")
     p_like.add_argument("--mc", type=int, metavar="SAMPLES", help="Monte-Carlo estimate")
     p_like.add_argument("--bounds", action="store_true", help="automorphism-count bounds")
-    p_like.add_argument("--extremes", type=int, metavar="N", help="full class table at size N (N <= 6)")
+    p_like.add_argument("--extremes", type=int, metavar="N", help=f"full class table at size N (N <= {extremes_n})")
     p_like.add_argument("--seed", type=int, help="RNG seed (required with --mc)")
     p_like.add_argument("--format", default="csv", choices=("csv", "json"))
     _add_out(p_like)

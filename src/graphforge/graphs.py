@@ -27,14 +27,46 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, isqrt
 
-# Exact algorithms below enumerate permutations or subsets; these bounds keep
-# every operation tractable in pure Python.
-MAX_EXACT_N = 12
-MAX_AUTOMORPHISM_N = 10
-# The matrix format writes one character per vertex pair (n <= 5793).
-MAX_MATRIX_BITS = 1 << 24
+# Every size bound in graphforge, by name: each entry point reads its entry
+# when called, before any work, and formats its error message from it.
+LIMITS = {
+    "exact_n": 12,  # canonical search, isomorphism backtracking, Monte-Carlo draws
+    "automorphism_n": 10,  # automorphism counting visits every automorphism
+    "class_law_n": 7,  # the class law pushes every class through 2^(n-1) attach sets
+    "tree_law_n": 7,  # the uniform-attachment class law, one pass per class and vertex
+    "copy_set_n": 7,  # a labelled-copy set iterates all n! permutations
+    "labelled_trees_n": 7,  # Pruefer enumeration decodes all n^(n-2) codes
+    "extremes_n": 6,  # a full table counts automorphisms of every class
+    "enumeration_n": 12,  # 2^n strings per rule, each output certified
+    "modifiable_n": 7,  # up to 4^n (string, choice) runs per rule
+    "reachability_n": 8,  # every run of three memory models, each output certified
+    "P2_n": 10,  # 2^n no-memory strings, threshold tests on each output
+    "P3_n": 8,  # 2^n full-memory strings per rule, shape isomorphism on each
+    "P5_n": 8,  # 2^n fading-memory strings per rule, forest isomorphism on each
+    "C_pnfree_n": 8,  # four induced-subgraph searches per full-memory class
+    "walk_k": 6,  # induced-subgraph prefix tables hold k! labelled copies each
+    "build_edges": 1 << 20,  # edges one machine run or sample may build
+    "matrix_bits": 1 << 24,  # matrix output writes one character per vertex pair
+    "cost_a_n": 65_536,  # a(n) steps a binomial of about n bits n times
+    "cost_a_closed_n": 8_192,  # the closed form recomputes every binomial
+}
+
+
+def _check_limit(name: str, n: int, message: str, low: int | None = None) -> None:
+    """Raise `message`, its {limit} and {n} filled in, unless n <= LIMITS[name]
+    (and n >= low, when low is given)."""
+    limit = LIMITS[name]
+    if n > limit or (low is not None and n < low):
+        raise ValueError(message.format(limit=limit, n=n))
+
+
+def _check_edge_cap(worst: int, what: str) -> None:
+    """Refuse, before any work, what may build more than LIMITS["build_edges"] edges."""
+    limit = LIMITS["build_edges"]
+    if worst > limit:
+        raise ValueError(f"{what} may build {worst} edges; limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -246,8 +278,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by backtracking vertex assignment."""
     if g.n != h.n:
         return False
-    if g.n > MAX_EXACT_N:
-        raise ValueError(f"isomorphism supported for n <= {MAX_EXACT_N}, got {g.n}")
+    _check_limit("exact_n", g.n, "isomorphism supported for n <= {limit}, got {n}")
     if len(g.edges) != len(h.edges):
         return False
     if g.edges == h.edges:
@@ -263,8 +294,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def automorphism_count(g: Graph) -> int:
     """Number of adjacency-preserving permutations of 1..n."""
-    if g.n > MAX_AUTOMORPHISM_N:
-        raise ValueError(f"automorphism counting supported for n <= {MAX_AUTOMORPHISM_N}")
+    _check_limit("automorphism_n", g.n, "automorphism counting supported for n <= {limit}")
     if g.n == 0:
         return 1
     sig = _signatures(g)
@@ -324,8 +354,7 @@ _CANON_CACHE: dict[tuple[int, int], bytes] = {}
 
 
 def canonical_form(g: Graph) -> bytes:
-    if g.n > MAX_EXACT_N:
-        raise ValueError(f"canonical form supported for n <= {MAX_EXACT_N}, got {g.n}")
+    _check_limit("exact_n", g.n, "canonical form supported for n <= {limit}, got {n}")
     n = g.n
     if n <= 1:
         return f"{n}:".encode()
@@ -455,8 +484,7 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
     """One representative per isomorphism class on exactly n vertices,
     generated by extending smaller representatives one vertex at a time.
     Deterministic order (sorted by canonical certificate)."""
-    if not 0 <= n <= 7:
-        raise ValueError("class enumeration supported for 0 <= n <= 7")
+    _check_limit("class_law_n", n, "class enumeration supported for 0 <= n <= {limit}", low=0)
     law = _class_law(n)
     return [law[key][0] for key in sorted(law)]
 
@@ -470,10 +498,6 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
 # bit C(a,2) + b.  Position a's back-edges are then the next a bits, and a
 # mask's restriction to its first a positions is its low C(a,2) bits, so a
 # prefix is dropped as soon as those bits match no table mask's.
-
-# contains_induced walks pattern graphs up to this size; each table costs k!
-# permutations to build, and there are 209 classes on at most 6 vertices.
-_MAX_WALK_K = 6
 
 _PREFIX_LEVELS: dict[tuple[int, bytes], tuple[frozenset[int], ...]] = {}
 
@@ -527,7 +551,7 @@ def contains_induced(g: Graph, h: Graph) -> bool:
         return False
     if k == 0:
         return True
-    if k <= _MAX_WALK_K:
+    if k <= LIMITS["walk_k"]:
         return _induces_mask_in(g, _copy_levels(h))
     return any(is_isomorphic(induced_subgraph(g, s), h) for s in combinations(range(1, g.n + 1), k))
 
@@ -634,7 +658,8 @@ def to_dot(g: Graph) -> str:
 def to_bitstring(g: Graph) -> str:
     """Upper-triangle adjacency bits, row-major; empty string for n <= 1."""
     n = g.n
-    if comb(n, 2) > MAX_MATRIX_BITS:
-        raise ValueError(f"matrix output supports C(n,2) <= {MAX_MATRIX_BITS} bits (n <= 5793), got n={n}")
+    if comb(n, 2) > (bits := LIMITS["matrix_bits"]):
+        largest = (1 + isqrt(1 + 8 * bits)) // 2  # the largest n with C(n,2) <= bits
+        raise ValueError(f"matrix output supports C(n,2) <= {bits} bits (n <= {largest}), got n={n}")
     # Bits i+1..n of row i, lowest first: the row shifted and reversed.
     return "".join(format(g.rows[i] >> (i + 1), f"0{n - i}b")[::-1] for i in range(1, n))

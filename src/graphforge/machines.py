@@ -41,11 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .graphs import Graph, empty_graph, to_json_obj
-
-# Worst-case edge count of one run (n - 1 under fading(2) without
-# DominateAll, else C(n, 2)) or G(n,p)/vertex-addition sample (C(n, 2)).
-MAX_BUILD_EDGES = 1 << 20
+from .graphs import Graph, empty_graph, to_json_obj, _check_edge_cap
 
 
 class InvalidActionForModel(ValueError):
@@ -315,15 +311,10 @@ def interpret_modifiable(rule: RuleSet, x: str, choices) -> ConstructionTrace:
     return _run(rule, MODIFIABLE, x, labels, choices)
 
 
-def _check_edge_cap(worst: int, what: str) -> None:
-    """Refuse, before any work, what may build more than MAX_BUILD_EDGES edges."""
-    if worst > MAX_BUILD_EDGES:
-        raise ValueError(f"{what} may build {worst} edges; limit {MAX_BUILD_EDGES}")
-
-
 def _check_run(rule: RuleSet, model: MemoryModel, n: int) -> None:
     """Refuse, before the first step, a rule that joins by label under a
-    model that stores none, and n-bit runs over the edge cap."""
+    model that stores none, and n-bit runs over the edge cap: a run's worst
+    case is n - 1 edges under fading(2) without DominateAll, else C(n, 2)."""
     if model.kind == "none" and rule.uses_labels():
         raise InvalidActionForModel(
             f"rule {rule.mnemonic} joins by label but the model stores no labels"

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import ceil, comb
 
 from .graphs import (
-    MAX_EXACT_N,
+    LIMITS,
     Graph,
     automorphism_count,
     canonical_form,
@@ -50,9 +50,10 @@ from .graphs import (
     _class_law,
     _dyad_pos,
     _labeled_copy_masks,
+    _check_edge_cap,
+    _check_limit,
     _vertices,
 )
-from .machines import _check_edge_cap
 
 # ---------------------------------------------------------------------------
 # in-degree distributions
@@ -127,14 +128,10 @@ def sample_vertex_addition(n: int, dist, seed: int) -> Graph:
 # exact likelihood under the uniform vertex-addition process
 # ---------------------------------------------------------------------------
 
-MAX_LIKELIHOOD_N = 7  # labelled copies iterate n! permutations; class laws exist for n <= 7
-
-
 def distinct_labeled_copies(g: Graph) -> list[int]:
     """Edge masks of all distinct labelled graphs isomorphic to g; the count
     equals n!/|Aut(g)|."""
-    if g.n > MAX_LIKELIHOOD_N:
-        raise ValueError(f"labelled-copy enumeration supported for n <= {MAX_LIKELIHOOD_N}")
+    _check_limit("copy_set_n", g.n, "labelled-copy enumeration supported for n <= {limit}")
     return sorted(_labeled_copy_masks(g))
 
 
@@ -144,8 +141,7 @@ def likelihood_exact(g: Graph) -> Fraction:
     n = g.n
     if n == 0:
         raise ValueError("likelihood needs at least one vertex")
-    if n > MAX_LIKELIHOOD_N:
-        raise ValueError(f"labelled-copy enumeration supported for n <= {MAX_LIKELIHOOD_N}")
+    _check_limit("class_law_n", n, "labelled-copy enumeration supported for n <= {limit}")
     return _class_law(n)[canonical_form(g)][1]
 
 
@@ -176,7 +172,7 @@ class McEstimate:
 # random.sample takes for a population of at most 21, so a seed gives the
 # same draws from the same stream as the samplers that call the stdlib.
 
-_WIDTHS = tuple(w.bit_length() for w in range(MAX_EXACT_N + 1))
+_WIDTHS = tuple(w.bit_length() for w in range(LIMITS["exact_n"] + 1))
 
 
 def _columns(n: int) -> list[tuple[int, list[int]]]:
@@ -187,7 +183,7 @@ def _columns(n: int) -> list[tuple[int, list[int]]]:
 
 def _va_masks(n: int, samples: int, rng: random.Random):
     """Yield `samples` draws of `_sample_va_edges(n, Uniform(), rng)` as edge
-    masks, n <= MAX_EXACT_N: vertex t takes k = rng.randrange(t) earlier
+    masks, n <= LIMITS["exact_n"]: vertex t takes k = rng.randrange(t) earlier
     neighbours, picked as rng.sample(range(1, t), k) picks them."""
     getrandbits = rng.getrandbits
     widths = _WIDTHS
@@ -213,7 +209,7 @@ def _va_masks(n: int, samples: int, rng: random.Random):
 
 
 def _ua_masks(n: int, samples: int, rng: random.Random):
-    """Yield `samples` uniform-attachment trees as edge masks, n <= MAX_EXACT_N:
+    """Yield `samples` uniform-attachment trees as edge masks, n <= LIMITS["exact_n"]:
     the parent of vertex t is rng.randrange(1, t), as in
     `trees.sample_ua_parents`."""
     getrandbits = rng.getrandbits
@@ -231,13 +227,13 @@ def _ua_masks(n: int, samples: int, rng: random.Random):
 def _count_copies(g: Graph, masks) -> int:
     """How many of the drawn edge masks (over the dyad positions of
     `_dyad_pos(g.n)`) are copies of g: the one Monte-Carlo hit loop, shared by
-    likelihood_mc and trees.tree_positivity_check.  For n <= MAX_LIKELIHOOD_N
+    likelihood_mc and trees.tree_positivity_check.  For n <= LIMITS["copy_set_n"]
     a hit is membership in the set of g's labelled copies, built once per
     call.  Above that, the edge count and degree sequence of the mask reject
     most draws before a Graph is decoded for is_isomorphic.  Callers check
     their size bounds before the first draw."""
     n = g.n
-    if n <= MAX_LIKELIHOOD_N:
+    if n <= LIMITS["copy_set_n"]:
         return sum(map(frozenset(_labeled_copy_masks(g)).__contains__, masks))
     pairs = list(_dyad_pos(n))
     stars = [sum(1 << k for k, pair in enumerate(pairs) if v in pair) for v in range(1, n + 1)]
@@ -263,8 +259,8 @@ def likelihood_mc(g: Graph, samples: int, seed: int) -> McEstimate:
     if samples < 1:
         raise ValueError("need at least one sample")
     n = g.n
-    if not 1 <= n <= MAX_EXACT_N:
-        raise ValueError(f"Monte-Carlo likelihood supported for 1 <= n <= {MAX_EXACT_N}, got {n}")
+    _check_limit("exact_n", n, "Monte-Carlo likelihood supported for 1 <= n <= {limit}, got {n}",
+                 low=1)
     hits = _count_copies(g, _va_masks(n, samples, random.Random(seed)))
     p_hat = hits / samples
     stderr = (p_hat * (1.0 - p_hat) / samples) ** 0.5
@@ -362,10 +358,9 @@ class LikelihoodTable:
 
 
 def likelihood_extremes(n: int) -> LikelihoodTable:
-    """Exact likelihood of every isomorphism class on n vertices (n <= 6),
-    one row per class, sorted by canonical certificate."""
-    if not (1 <= n <= 6):
-        raise ValueError("extremes computed for 1 <= n <= 6")
+    """Exact likelihood of every isomorphism class on n vertices, n up to
+    LIMITS["extremes_n"], one row per class, sorted by canonical certificate."""
+    _check_limit("extremes_n", n, "extremes computed for 1 <= n <= {limit}", low=1)
     rows = []
     for cert, (g, likelihood) in _class_law(n).items():
         lo, up = likelihood_bounds(g)
@@ -413,6 +408,7 @@ def randomness_cost_a(n: int) -> int:
     a(n) = a(n-1) + b(n) + floor(log2(n-1)) + 1."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_limit("cost_a_n", n, "bit cost a(n) supported for n <= {limit}, got {n}")
     # Step i = m + 1 draws its subset from c = C(m, floor(m/2)) choices at
     # either parity, as C(m, (m+1)/2) = C(m, (m-1)/2) for odd m.  c doubles
     # when m is even and gains the factor m / ((m+1)/2) when m is odd.
@@ -429,6 +425,7 @@ def randomness_cost_a_closed(n: int) -> int:
     the final step's subset draw and already misses a(4).)"""
     if n < 4:
         raise ValueError("closed form stated for n >= 4")
+    _check_limit("cost_a_closed_n", n, "closed form of a(n) supported for n <= {limit}, got {n}")
     s_even = sum((comb(i - 1, i // 2) - 1).bit_length() - 1 for i in range(4, n + 1, 2))
     s_odd = sum((comb(i - 1, (i - 1) // 2) - 1).bit_length() - 1 for i in range(3, n + 1, 2))
     s_log = sum((i - 1).bit_length() - 1 for i in range(2, n + 1))
@@ -453,5 +450,4 @@ __all__ = [
     "subset_bits_odd",
     "randomness_cost_a",
     "randomness_cost_a_closed",
-    "MAX_LIKELIHOOD_N",
 ]

@@ -26,17 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
-    MAX_EXACT_N,
     Graph,
     canonical_form,
     enumerate_graph_classes,
     is_tree,
+    _check_edge_cap,
+    _check_limit,
     _class_law,
 )
-from .machines import ResourceCost, _check_edge_cap
-from .randomness import MAX_LIKELIHOOD_N, _count_copies, _ua_masks
-
-MAX_TREE_CLASS_N = 7  # labelled trees: all n^(n-2) Pruefer codes; tree classes: graph classes
+from .machines import ResourceCost
+from .randomness import _count_copies, _ua_masks
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,7 @@ def ua_likelihood_exact(t_graph: Graph) -> Fraction:
     if not is_tree(t_graph):
         raise ValueError("likelihood under uniform attachment needs a tree")
     n = t_graph.n
-    if n > MAX_LIKELIHOOD_N:
-        raise ValueError(f"exact tree likelihood supported for n <= {MAX_LIKELIHOOD_N}")
+    _check_limit("tree_law_n", n, "exact tree likelihood supported for n <= {limit}")
     return _class_law(n, tree=True)[canonical_form(t_graph)][1]
 
 
@@ -195,8 +193,7 @@ def tree_positivity_check(t_graph: Graph, samples: int, seed: int) -> tuple[int,
     if not is_tree(t_graph):
         raise ValueError("positivity check needs a tree")
     n = t_graph.n
-    if n > MAX_EXACT_N:
-        raise ValueError(f"positivity check supported for n <= {MAX_EXACT_N}, got {n}")
+    _check_limit("exact_n", n, "positivity check supported for n <= {limit}, got {n}")
     hits = _count_copies(t_graph, _ua_masks(n, samples, random.Random(seed)))
     return hits, hits / samples
 
@@ -207,8 +204,8 @@ def tree_positivity_check(t_graph: Graph, samples: int, seed: int) -> tuple[int,
 
 def enumerate_labeled_trees(n: int) -> list[Graph]:
     """All labelled trees on n vertices (n^(n-2) of them) via Pruefer codes."""
-    if not (1 <= n <= MAX_TREE_CLASS_N):
-        raise ValueError(f"labelled-tree enumeration supported for 1 <= n <= {MAX_TREE_CLASS_N}")
+    _check_limit("labelled_trees_n", n, "labelled-tree enumeration supported for 1 <= n <= {limit}",
+                 low=1)
     if n == 1:
         return [Graph(1, frozenset())]
     if n == 2:
@@ -229,8 +226,8 @@ def enumerate_labeled_trees(n: int) -> list[Graph]:
 def enumerate_tree_classes(n: int) -> list[Graph]:
     """One representative per tree isomorphism class on n vertices, sorted by
     canonical certificate: the tree classes among all graph classes."""
-    if not (1 <= n <= MAX_TREE_CLASS_N):
-        raise ValueError(f"labelled-tree enumeration supported for 1 <= n <= {MAX_TREE_CLASS_N}")
+    _check_limit("class_law_n", n, "labelled-tree enumeration supported for 1 <= n <= {limit}",
+                 low=1)
     return [g for g in enumerate_graph_classes(n) if is_tree(g)]
 
 
@@ -248,10 +245,13 @@ def index_bits(k: int) -> int:
 def tree_cost(n: int) -> ResourceCost:
     """Deterministic-construction cost of an n-vertex tree: the parent of
     vertex t is shipped and stored in b(t-1) bits, and no randomness is
-    spent."""
+    spent.  The sum of b(t) over t = 1..m, m = n - 1, is (m + 1) * L - 2^L + 1
+    with L = b(m): L bits per value, less one per power 2^j (j < L) above it."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    total = sum(index_bits(t) for t in range(1, n))
+    m = n - 1
+    width = m.bit_length()
+    total = (m + 1) * width - (1 << width) + 1
     return ResourceCost(instruction_bits=total, memory_bits=total, random_bits=0)
 
 

@@ -52,6 +52,7 @@ from .families import (
     zero_anchored_blocks,
 )
 from .graphs import (
+    LIMITS,
     Graph,
     canonical_form,
     complete_bipartite,
@@ -69,6 +70,7 @@ from .graphs import (
     linear_forest,
     path_graph,
     to_json,
+    _check_limit,
 )
 from .machines import (
     FULL_MEMORY,
@@ -204,8 +206,9 @@ def _runs(rule: RuleSet, model: MemoryModel, n: int):
 def _check_enumeration_bound(model: MemoryModel, n: int, what: str) -> None:
     if n < 0:
         raise ValueError(f"{what} needs n >= 0, got {n}")
-    if n > 12 or (model.kind == "modifiable" and n > 7):
-        raise ValueError(f"{what} bounds: n <= 12, modifiable n <= 7")
+    limit, modifiable = LIMITS["enumeration_n"], LIMITS["modifiable_n"]
+    if n > limit or (model.kind == "modifiable" and n > modifiable):
+        raise ValueError(f"{what} bounds: n <= {limit}, modifiable n <= {modifiable}")
 
 
 def _counterexample(trace: ConstructionTrace, expected: str) -> Counterexample:
@@ -243,8 +246,7 @@ def reachable_classes(model: MemoryModel, n: int) -> set[bytes]:
 
 def expressiveness_count(model: MemoryModel, n: int) -> int:
     """Number of isomorphism classes the model can emit on n vertices."""
-    if n > 8:
-        raise ValueError("expressiveness counting supported for n <= 8")
+    _check_limit("reachability_n", n, "expressiveness counting supported for n <= {limit}")
     return len(reachable_classes(model, n))
 
 
@@ -493,20 +495,20 @@ def _verify_path_cycle_free(max_n: int, cxs: list[Counterexample], notes: list[s
     return checked
 
 
-# id -> (check, rules, models, default max_n, largest max_n)
+# id -> (check, rules, models, default max_n, LIMITS entry of the largest max_n)
 _CHECKS = {
-    "P2": (_verify_no_memory, NO_MEMORY_RULES, (NO_MEMORY,), 10, 10),
-    "P3": (_verify_full_memory, FULL_RULES, (FULL_MEMORY,), 8, 8),
-    "P5": (_verify_fading_memory, FULL_RULES, (_FADING,), 8, 8),
-    "C_modifiable": (_verify_modifiable, FULL_RULES, (MODIFIABLE,), 6, 7),
-    "C_pnfree": (_verify_path_cycle_free, FULL_RULES, (FULL_MEMORY,), 8, 8),
+    "P2": (_verify_no_memory, NO_MEMORY_RULES, (NO_MEMORY,), 10, "P2_n"),
+    "P3": (_verify_full_memory, FULL_RULES, (FULL_MEMORY,), 8, "P3_n"),
+    "P5": (_verify_fading_memory, FULL_RULES, (_FADING,), 8, "P5_n"),
+    "C_modifiable": (_verify_modifiable, FULL_RULES, (MODIFIABLE,), 6, "modifiable_n"),
+    "C_pnfree": (_verify_path_cycle_free, FULL_RULES, (FULL_MEMORY,), 8, "C_pnfree_n"),
 }
 
 
 def verify_proposition(proposition: str, max_n: int | None = None) -> VerificationReport:
     """Run one check over all strings up to max_n (defaults per check)."""
     try:
-        check, rules, models, default_n, largest_n = _CHECKS[proposition]
+        check, rules, models, default_n, limit_name = _CHECKS[proposition]
     except KeyError:
         raise ValueError(
             f"unknown check {proposition!r}; expected one of {', '.join(PROPOSITION_IDS)}"
@@ -514,8 +516,7 @@ def verify_proposition(proposition: str, max_n: int | None = None) -> Verificati
     bound = default_n if max_n is None else max_n
     if bound < 0:
         raise ValueError("max_n must be nonnegative")
-    if bound > largest_n:
-        raise ValueError(f"{proposition} supports max_n <= {largest_n}")
+    _check_limit(limit_name, bound, proposition + " supports max_n <= {limit}")
     return _run_check(proposition, check, rules, models, bound)
 
 
@@ -547,8 +548,7 @@ def hierarchy_report(max_n: int = 8) -> VerificationReport:
     outputs never contain)."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if max_n > 8:
-        raise ValueError("hierarchy comparison supported for max_n <= 8")
+    _check_limit("reachability_n", max_n, "hierarchy comparison supported for max_n <= {limit}")
     return _run_check(
         "hierarchy", _compare_models, FULL_RULES, (NO_MEMORY, _FADING, FULL_MEMORY), max_n
     )

@@ -283,14 +283,14 @@ def test_bounds_rejected_before_any_work(capsys) -> None:
 
 
 def test_matrix_format_exits_2_above_cap(capsys, monkeypatch) -> None:
-    # n = 5794 is the first size whose C(n, 2) bits exceed MAX_MATRIX_BITS
+    # n = 5794 is the first size whose C(n, 2) bits exceed LIMITS["matrix_bits"]
     assert main(["tree", "sample", "--n", "5794", "--seed", "1", "--format", "matrix"]) == 2
     assert "matrix output supports" in capsys.readouterr().err
     x = "01" * 2897  # a fading(2) label join: 5793 edges, under the build cap
     assert main(["build", "--rule", "0>1,1>0", "--model", "fading(2)", "--x", x, "--format", "matrix"]) == 2
     assert "matrix output supports" in capsys.readouterr().err
     # every sampler reaches the same check; a lowered cap keeps this fast
-    monkeypatch.setattr(graphs, "MAX_MATRIX_BITS", comb(50, 2) - 1)
+    monkeypatch.setitem(graphs.LIMITS, "matrix_bits", comb(50, 2) - 1)
     for argv in (
         ["random", "gnp", "--n", "50", "--p", "1/2"],
         ["random", "va", "--n", "50"],

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphforge.graphs import (
-    MAX_MATRIX_BITS,
+    LIMITS,
     Graph,
     add_vertex,
     automorphism_count,
@@ -321,8 +321,8 @@ def test_dot_output_mentions_every_edge() -> None:
 
 
 def test_matrix_output_cap() -> None:
-    # C(5793, 2) = 16,776,528 fits under MAX_MATRIX_BITS; C(5794, 2) does not
-    assert len(to_bitstring(empty_graph(5793))) == 16_776_528 <= MAX_MATRIX_BITS
+    # C(5793, 2) = 16,776,528 fits under LIMITS["matrix_bits"]; C(5794, 2) does not
+    assert len(to_bitstring(empty_graph(5793))) == 16_776_528 <= LIMITS["matrix_bits"]
     with pytest.raises(ValueError, match="matrix output supports"):
         to_bitstring(path_graph(5794))
     assert to_bitstring(path_graph(4)) == "100101"

@@ -1,0 +1,220 @@
+"""Every size bound lives in graphs.LIMITS, and each entry point reads its
+entry when called, before any work: one past the limit raises the message
+below, word for word, without reaching the class law, the run enumerator,
+a labelled-copy set or the canonical search; a lowered entry moves the
+bound with it."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from itertools import count
+from math import comb
+
+import pytest
+
+from graphforge import cli, graphs, machines, randomness, trees, verify
+from graphforge.graphs import (
+    LIMITS,
+    canonical_form,
+    complete_graph,
+    contains_induced,
+    cycle_graph,
+    empty_graph,
+    enumerate_graph_classes,
+    is_isomorphic,
+    path_graph,
+    to_bitstring,
+)
+from graphforge.machines import FULL_MEMORY, MODIFIABLE, interpret, parse_rule
+from graphforge.randomness import (
+    Uniform,
+    distinct_labeled_copies,
+    likelihood_exact,
+    likelihood_extremes,
+    likelihood_mc,
+    randomness_cost_a,
+    randomness_cost_a_closed,
+    sample_gnp,
+    sample_vertex_addition,
+)
+from graphforge.trees import (
+    enumerate_labeled_trees,
+    enumerate_tree_classes,
+    sample_ua_parents,
+    tree_positivity_check,
+    ua_likelihood_exact,
+)
+from graphforge.verify import (
+    enumerate_outputs,
+    expressiveness_count,
+    find_constructions,
+    hierarchy_report,
+    reachable_classes,
+    verify_proposition,
+)
+
+RULE = parse_rule("0>1,1>-")
+WORK = ("_class_law", "_runs", "_labeled_copy_masks", "_canon_search")
+
+
+def _vertices_for_pairs(pairs: int) -> int:
+    """The fewest vertices with at least `pairs` vertex pairs."""
+    return next(n for n in count() if comb(n, 2) >= pairs)
+
+
+# (entry, entry point called at size s, its message at s = limit + 1, cheap
+# enough to answer at the limit); a size counts vertices unless the entry
+# counts edges, bits, string lengths or max_n.
+CASES = [
+    ("exact_n", lambda s: canonical_form(empty_graph(s)),
+     "canonical form supported for n <= 12, got 13", True),
+    ("exact_n", lambda s: is_isomorphic(empty_graph(s), empty_graph(s)),
+     "isomorphism supported for n <= 12, got 13", True),
+    ("exact_n", lambda s: likelihood_mc(empty_graph(s), 1, 0),
+     "Monte-Carlo likelihood supported for 1 <= n <= 12, got 13", True),
+    ("exact_n", lambda s: tree_positivity_check(path_graph(s), 1, 0),
+     "positivity check supported for n <= 12, got 13", True),
+    ("automorphism_n", lambda s: graphs.automorphism_count(path_graph(s)),
+     "automorphism counting supported for n <= 10", True),
+    ("class_law_n", lambda s: likelihood_exact(path_graph(s)),
+     "labelled-copy enumeration supported for n <= 7", True),
+    ("class_law_n", enumerate_graph_classes,
+     "class enumeration supported for 0 <= n <= 7", True),
+    ("class_law_n", enumerate_tree_classes,
+     "labelled-tree enumeration supported for 1 <= n <= 7", True),
+    ("tree_law_n", lambda s: ua_likelihood_exact(path_graph(s)),
+     "exact tree likelihood supported for n <= 7", True),
+    ("copy_set_n", lambda s: distinct_labeled_copies(path_graph(s)),
+     "labelled-copy enumeration supported for n <= 7", True),
+    ("labelled_trees_n", enumerate_labeled_trees,
+     "labelled-tree enumeration supported for 1 <= n <= 7", True),
+    ("extremes_n", likelihood_extremes,
+     "extremes computed for 1 <= n <= 6", True),
+    ("enumeration_n", lambda s: enumerate_outputs(RULE, FULL_MEMORY, s),
+     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
+    ("enumeration_n", lambda s: reachable_classes(FULL_MEMORY, s),
+     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
+    ("enumeration_n", lambda s: find_constructions(empty_graph(s), FULL_MEMORY),
+     "construction search bounds: n <= 12, modifiable n <= 7", False),
+    ("modifiable_n", lambda s: enumerate_outputs(RULE, MODIFIABLE, s),
+     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
+    ("modifiable_n", lambda s: find_constructions(empty_graph(s), MODIFIABLE),
+     "construction search bounds: n <= 12, modifiable n <= 7", False),
+    ("modifiable_n", lambda s: verify_proposition("C_modifiable", s),
+     "C_modifiable supports max_n <= 7", False),
+    ("reachability_n", lambda s: expressiveness_count(FULL_MEMORY, s),
+     "expressiveness counting supported for n <= 8", False),
+    ("reachability_n", hierarchy_report,
+     "hierarchy comparison supported for max_n <= 8", False),
+    ("P2_n", lambda s: verify_proposition("P2", s), "P2 supports max_n <= 10", False),
+    ("P3_n", lambda s: verify_proposition("P3", s), "P3 supports max_n <= 8", False),
+    ("P5_n", lambda s: verify_proposition("P5", s), "P5 supports max_n <= 8", False),
+    ("C_pnfree_n", lambda s: verify_proposition("C_pnfree", s), "C_pnfree supports max_n <= 8", False),
+    ("build_edges", lambda s: sample_ua_parents(s + 1, 0),
+     "a 1048578-vertex tree may build 1048577 edges; limit 1048576", False),
+    ("build_edges", lambda s: sample_gnp(_vertices_for_pairs(s), 0, 1),
+     "a 1449-vertex sample may build 1049076 edges; limit 1048576", False),
+    ("build_edges", lambda s: sample_vertex_addition(_vertices_for_pairs(s), Uniform(), 1),
+     "a 1449-vertex sample may build 1049076 edges; limit 1048576", False),
+    ("build_edges", lambda s: interpret(parse_rule("0>-,1>-"), FULL_MEMORY, "0" * _vertices_for_pairs(s)),
+     "a 1449-bit run under full may build 1049076 edges; limit 1048576", False),
+    ("matrix_bits", lambda s: to_bitstring(empty_graph(_vertices_for_pairs(s))),
+     "matrix output supports C(n,2) <= 16777216 bits (n <= 5793), got n=5794", False),
+    ("cost_a_n", randomness_cost_a,
+     "bit cost a(n) supported for n <= 65536, got 65537", True),
+    ("cost_a_closed_n", randomness_cost_a_closed,
+     "closed form of a(n) supported for n <= 8192, got 8193", False),
+]
+IDS = [f"{entry}-{k}" for k, (entry, *_) in enumerate(CASES)]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the class law, the run enumerator, copy sets and the canonical
+    search fail wherever a module binds them."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound check let work start")
+
+    for module in (graphs, machines, randomness, trees, verify):
+        for name in WORK:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_every_entry_is_read_by_some_case() -> None:
+    # walk_k and the copy_set_n route of the hit loop choose a route, not an
+    # error; the route tests below cover them
+    assert {entry for entry, *_ in CASES} | {"walk_k"} == set(LIMITS)
+
+
+@pytest.mark.parametrize(("entry", "call", "message", "cheap"), CASES, ids=IDS)
+def test_one_past_the_limit_raises_before_any_work(no_work, entry, call, message, cheap) -> None:
+    with pytest.raises(ValueError) as exc:
+        call(LIMITS[entry] + 1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("entry", "call"), [(entry, call) for entry, call, _, cheap in CASES if cheap],
+    ids=[i for i, case in zip(IDS, CASES) if case[3]],
+)
+def test_the_limit_itself_answers(entry, call) -> None:
+    call(LIMITS[entry])
+
+
+@pytest.mark.parametrize(("entry", "call", "message", "cheap"), CASES, ids=IDS)
+def test_a_lowered_entry_moves_the_bound(no_work, monkeypatch, entry, call, message, cheap) -> None:
+    lowered = LIMITS[entry] - 1
+    monkeypatch.setitem(LIMITS, entry, lowered)
+    with pytest.raises(ValueError, match=str(lowered)) as exc:
+        call(lowered + 1)
+    assert str(exc.value) != message
+
+
+def test_a_lowered_matrix_cap_names_its_largest_size(monkeypatch) -> None:
+    monkeypatch.setitem(LIMITS, "matrix_bits", comb(50, 2) - 1)
+    with pytest.raises(ValueError) as exc:
+        to_bitstring(empty_graph(50))
+    assert str(exc.value) == "matrix output supports C(n,2) <= 1224 bits (n <= 49), got n=50"
+    assert to_bitstring(empty_graph(49)) == "0" * comb(49, 2)
+
+
+def test_walk_k_chooses_the_induced_subgraph_route(monkeypatch) -> None:
+    def refuse(h):
+        raise AssertionError("patterns above walk_k take the subset route")
+
+    host = path_graph(6)
+    assert contains_induced(host, path_graph(4)) and not contains_induced(host, cycle_graph(4))
+    monkeypatch.setattr(graphs, "_copy_levels", refuse)
+    assert contains_induced(path_graph(8), path_graph(LIMITS["walk_k"] + 1))
+    monkeypatch.setitem(LIMITS, "walk_k", 3)
+    assert contains_induced(host, path_graph(4)) and not contains_induced(host, cycle_graph(4))
+
+
+def test_copy_set_n_chooses_the_hit_loop_route(monkeypatch) -> None:
+    target = complete_graph(3)
+    hits = likelihood_mc(target, 300, 5).hits
+
+    def refuse(g):
+        raise AssertionError("targets above copy_set_n are not matched by copy set")
+
+    monkeypatch.setattr(randomness, "_labeled_copy_masks", refuse)
+    monkeypatch.setitem(LIMITS, "copy_set_n", 2)
+    assert likelihood_mc(target, 300, 5).hits == hits
+
+
+def test_cli_help_reads_the_table(monkeypatch) -> None:
+    def likelihood_help() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.main(["likelihood", "--help"])
+        return " ".join(out.getvalue().split())
+
+    text = likelihood_help()
+    assert text.count("(n <= 7)") == 2 and "(N <= 6)" in text
+    monkeypatch.setitem(LIMITS, "class_law_n", 6)
+    monkeypatch.setitem(LIMITS, "extremes_n", 5)
+    text = likelihood_help()
+    assert text.count("(n <= 6)") == 2 and "(N <= 5)" in text

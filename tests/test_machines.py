@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from graphforge.cli import main as cli_main
 from graphforge.graphs import (
+    LIMITS,
     complete_bipartite,
     complete_graph,
     empty_graph,
@@ -21,7 +22,6 @@ from graphforge.graphs import (
 from graphforge.machines import (
     FULL_MEMORY,
     FULL_RULES,
-    MAX_BUILD_EDGES,
     MODIFIABLE,
     NO_MEMORY,
     NO_MEMORY_RULES,
@@ -228,9 +228,9 @@ def test_trace_json_is_self_describing() -> None:
 
 
 def test_build_edge_cap_boundary() -> None:
-    # C(1448, 2) = 1,047,628 fits under MAX_BUILD_EDGES; C(1449, 2) does not,
-    # whatever the rule actually adds.
-    assert comb(1448, 2) <= MAX_BUILD_EDGES < comb(1449, 2)
+    # C(1448, 2) = 1,047,628 fits under LIMITS["build_edges"]; C(1449, 2) does
+    # not, whatever the rule actually adds.
+    assert comb(1448, 2) <= LIMITS["build_edges"] < comb(1449, 2)
     rule = parse_rule("0>-,1>-")
     assert interpret(rule, FULL_MEMORY, "0" * 1448).final.graph == empty_graph(1448)
     with pytest.raises(ValueError, match="may build 1049076 edges"):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from graphforge import randomness
 from graphforge.graphs import (
-    MAX_EXACT_N,
+    LIMITS,
     Graph,
     _dyad_pos,
     canonical_form,
@@ -26,7 +26,6 @@ from graphforge.graphs import (
     is_isomorphic,
     path_graph,
 )
-from graphforge.machines import MAX_BUILD_EDGES
 from graphforge.randomness import (
     Binomial,
     Uniform,
@@ -121,8 +120,8 @@ def test_float_threshold_coins_match_fraction_comparison() -> None:
 
 
 def test_samplers_reject_sizes_over_the_edge_cap() -> None:
-    # C(1448, 2) <= MAX_BUILD_EDGES < C(1449, 2): the same cap as a build
-    assert comb(1448, 2) <= MAX_BUILD_EDGES < comb(1449, 2)
+    # C(1448, 2) <= LIMITS["build_edges"] < C(1449, 2): the same cap as a build
+    assert comb(1448, 2) <= LIMITS["build_edges"] < comb(1449, 2)
     with pytest.raises(ValueError, match="may build 1049076 edges"):
         sample_gnp(1449, 0, seed=1)
     with pytest.raises(ValueError, match="may build 1049076 edges"):
@@ -310,7 +309,7 @@ def test_mask_draws_copy_the_stdlib_draws() -> None:
     give, every (t, k) with t <= 12 must occur at every seed, and both
     generators must end in the same state.  The mask holds the set of picks;
     the shared end state pins how many draws of which width made them."""
-    n = MAX_EXACT_N
+    n = LIMITS["exact_n"]
     pos = _dyad_pos(n)
     samples = 400
     for seed in range(6):

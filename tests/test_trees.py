@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from graphforge import randomness
 from graphforge.graphs import (
+    LIMITS,
     Graph,
     canonical_form,
     complete_bipartite,
@@ -20,7 +21,6 @@ from graphforge.graphs import (
     path_graph,
     relabel,
 )
-from graphforge.machines import MAX_BUILD_EDGES
 from graphforge.randomness import distinct_labeled_copies
 from graphforge.trees import (
     ParentVector,
@@ -236,8 +236,8 @@ def test_small_trees_build_no_graph_per_draw(monkeypatch) -> None:
 
 
 def test_ua_sampler_rejects_sizes_over_the_edge_cap() -> None:
-    # an n-vertex tree has n - 1 edges: n = MAX_BUILD_EDGES + 1 is the largest
-    n = MAX_BUILD_EDGES + 2
+    # an n-vertex tree has n - 1 edges: n = LIMITS["build_edges"] + 1 is the largest
+    n = LIMITS["build_edges"] + 2
     with pytest.raises(ValueError, match=f"a {n}-vertex tree may build {n - 1} edges; limit"):
         sample_ua_parents(n, seed=0)
     with pytest.raises(ValueError, match=f"a {n}-vertex tree may build"):
