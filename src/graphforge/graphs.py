@@ -227,8 +227,10 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
 # bitmask internals
 # ---------------------------------------------------------------------------
 # Vertex sets are masks with bit v for vertex v, like the rows of `Graph.rows`.
-# Labelled-copy tables pack a graph on n vertices into an edge mask over the
-# C(n,2) dyad positions (i, j), i < j, enumerated row-major.
+# A labelled graph is packed into an edge mask in colex order: dyad (i, j),
+# i < j, sits at bit C(j-1, 2) + i-1.  Vertex t's back-edges are then one
+# block of t-1 bits starting at C(t-1, 2), and the graph induced on vertices
+# 1..a is the mask's low C(a, 2) bits.
 
 def _vertices(mask: int) -> list[int]:
     """The vertices in a vertex mask, ascending."""
@@ -240,23 +242,18 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _dyad_pos(n: int) -> dict[tuple[int, int], int]:
-    pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-    return {pair: k for k, pair in enumerate(pairs)}
-
-
 def _labeled_copy_masks(g: Graph) -> set[int]:
     """Edge masks of all distinct labelled graphs isomorphic to g, one per
     relabelling class: the loop runs over all n! permutations."""
-    pos = _dyad_pos(g.n)
+    n = g.n
+    # bit[x][y] is the mask bit of the dyad on vertices x+1 and y+1
+    bit = [[1 << (comb(max(x, y), 2) + min(x, y)) for y in range(n)] for x in range(n)]
     base = [(i - 1, j - 1) for i, j in g.sorted_edges()]
     masks: set[int] = set()
-    for perm in permutations(range(1, g.n + 1)):
+    for perm in permutations(range(n)):
         m = 0
         for a, b in base:
-            pa, pb = perm[a], perm[b]
-            m |= 1 << pos[(pa, pb) if pa < pb else (pb, pa)]
+            m |= bit[perm[a]][perm[b]]
         masks.add(m)
     return masks
 
@@ -362,15 +359,7 @@ def canonical_form(g: Graph) -> bytes:
     cached = _CANON_CACHE.get(key)
     if cached is not None:
         return cached
-    total = comb(n, 2)
-    m = len(g.edges)
-    if m == 0:
-        bits = "0" * total
-    elif m == total:
-        bits = "1" * total
-    else:
-        bits = _canon_search(n, g.rows)
-    cert = f"{n}:{bits}".encode()
+    cert = f"{n}:{_canon_search(n, g.rows)}".encode()
     _CANON_CACHE[key] = cert
     return cert
 
@@ -493,34 +482,31 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
 # induced-subgraph containment
 # ---------------------------------------------------------------------------
 
-# The walk places the vertices of an ascending vertex tuple at positions
-# 0, 1, ... and packs the induced edges in colex order: positions b < a sit at
-# bit C(a,2) + b.  Position a's back-edges are then the next a bits, and a
-# mask's restriction to its first a positions is its low C(a,2) bits, so a
-# prefix is dropped as soon as those bits match no table mask's.
+# The walk reads an ascending vertex tuple as vertices 1, 2, ... of an edge
+# mask, so a prefix of a vertices is dropped as soon as its C(a, 2) bits match
+# the low bits of no table mask.
 
 _PREFIX_LEVELS: dict[tuple[int, bytes], tuple[frozenset[int], ...]] = {}
 
 
 def _copy_levels(h: Graph) -> tuple[frozenset[int], ...]:
-    """levels[a] (a = 0..k) holds the colex edge masks on positions
-    0..a-1 of h's labelled copies on k = |V(h)| vertices, built once per
+    """levels[a] (a = 0..k) holds the edge masks of h's labelled copies on
+    k = |V(h)| vertices, restricted to vertices 1..a, built once per
     (k, class) and kept."""
     k = h.n
     key = (k, canonical_form(h))
     levels = _PREFIX_LEVELS.get(key)
     if levels is None:
-        colex = [comb(j - 1, 2) + i - 1 for i, j in _dyad_pos(k)]
-        full = {sum(1 << colex[p] for p in _vertices(m)) for m in _labeled_copy_masks(h)}
+        full = _labeled_copy_masks(h)
         levels = tuple(frozenset(c & ((1 << comb(a, 2)) - 1) for c in full) for a in range(k + 1))
         _PREFIX_LEVELS[key] = levels
     return levels
 
 
 def _induces_mask_in(g: Graph, levels: tuple[frozenset[int], ...]) -> bool:
-    """True when some ascending k-tuple of g's vertices induces a colex edge
-    mask in levels[k], k = len(levels) - 1.  Prefixes are extended one
-    vertex at a time, depth first, and dropped when not in their level."""
+    """True when some ascending k-tuple of g's vertices induces an edge mask
+    in levels[k], k = len(levels) - 1.  Prefixes are extended one vertex at
+    a time, depth first, and dropped when not in their level."""
     k = len(levels) - 1
     rows = g.rows
     n = g.n

@@ -48,7 +48,6 @@ from .graphs import (
     complete_bipartite,
     is_isomorphic,
     _class_law,
-    _dyad_pos,
     _labeled_copy_masks,
     _check_edge_cap,
     _check_limit,
@@ -129,8 +128,9 @@ def sample_vertex_addition(n: int, dist, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def distinct_labeled_copies(g: Graph) -> list[int]:
-    """Edge masks of all distinct labelled graphs isomorphic to g; the count
-    equals n!/|Aut(g)|."""
+    """Edge masks of all distinct labelled graphs isomorphic to g, ascending,
+    in the colex encoding of `graphs` (dyad (i, j), i < j, at bit
+    C(j-1, 2) + i-1); the count equals n!/|Aut(g)|."""
     _check_limit("copy_set_n", g.n, "labelled-copy enumeration supported for n <= {limit}")
     return sorted(_labeled_copy_masks(g))
 
@@ -166,10 +166,10 @@ class McEstimate:
         return None
 
 
-# Monte-Carlo draws go straight into edge masks over the dyad positions of
-# `_dyad_pos(n)`.  They copy CPython 3.11's Random._randbelow(w), which is
-# getrandbits(w.bit_length()) redrawn while >= w, and the pool branch that
-# random.sample takes for a population of at most 21, so a seed gives the
+# Monte-Carlo draws go straight into edge masks, vertex t's picks into its
+# block of back-edge bits.  They copy CPython 3.11's Random._randbelow(w),
+# which is getrandbits(w.bit_length()) redrawn while >= w, and the pool branch
+# that random.sample takes for a population of at most 21, so a seed gives the
 # same draws from the same stream as the samplers that call the stdlib.
 
 _WIDTHS = tuple(w.bit_length() for w in range(LIMITS["exact_n"] + 1))
@@ -177,8 +177,7 @@ _WIDTHS = tuple(w.bit_length() for w in range(LIMITS["exact_n"] + 1))
 
 def _columns(n: int) -> list[tuple[int, list[int]]]:
     """(t, bits) for t = 2..n: bits[v - 1] is the mask bit of the dyad (v, t)."""
-    pos = _dyad_pos(n)
-    return [(t, [1 << pos[v, t] for v in range(1, t)]) for t in range(2, n + 1)]
+    return [(t, [1 << (comb(t - 1, 2) + i) for i in range(t - 1)]) for t in range(2, n + 1)]
 
 
 def _va_masks(n: int, samples: int, rng: random.Random):
@@ -225,17 +224,16 @@ def _ua_masks(n: int, samples: int, rng: random.Random):
 
 
 def _count_copies(g: Graph, masks) -> int:
-    """How many of the drawn edge masks (over the dyad positions of
-    `_dyad_pos(g.n)`) are copies of g: the one Monte-Carlo hit loop, shared by
-    likelihood_mc and trees.tree_positivity_check.  For n <= LIMITS["copy_set_n"]
-    a hit is membership in the set of g's labelled copies, built once per
-    call.  Above that, the edge count and degree sequence of the mask reject
-    most draws before a Graph is decoded for is_isomorphic.  Callers check
-    their size bounds before the first draw."""
+    """How many of the drawn edge masks are copies of g: the one Monte-Carlo
+    hit loop, shared by likelihood_mc and trees.tree_positivity_check.  For
+    n <= LIMITS["copy_set_n"] a hit is membership in the set of g's labelled
+    copies, built once per call.  Above that, the edge count and degree
+    sequence of the mask reject most draws before a Graph is decoded for
+    is_isomorphic.  Callers check their size bounds before the first draw."""
     n = g.n
     if n <= LIMITS["copy_set_n"]:
         return sum(map(frozenset(_labeled_copy_masks(g)).__contains__, masks))
-    pairs = list(_dyad_pos(n))
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]  # in mask-bit order
     stars = [sum(1 << k for k, pair in enumerate(pairs) if v in pair) for v in range(1, n + 1)]
     target_m = g.edge_count
     target_deg = g.degree_sequence()

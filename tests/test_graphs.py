@@ -117,10 +117,15 @@ def test_automorphism_counts() -> None:
     assert automorphism_count(complete_bipartite(3, 3)) == 72
 
 
-def test_canonical_form_shape() -> None:
+def test_canonical_form_shape(monkeypatch) -> None:
     cert = canonical_form(cycle_graph(5))
     assert cert == b"5:0011101100"
     assert canonical_form(empty_graph(3)) == b"3:000"
+    # empty and complete graphs go through the search like any other graph
+    monkeypatch.setattr(graphs_module, "_CANON_CACHE", {})
+    for n in range(13):
+        assert canonical_form(empty_graph(n)) == f"{n}:{'0' * comb(n, 2)}".encode()
+        assert canonical_form(complete_graph(n)) == f"{n}:{'1' * comb(n, 2)}".encode()
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,15 +177,15 @@ def test_contains_induced_matches_subset_certificates() -> None:
 
 
 def _scan_reference(g: Graph, k: int, table) -> bool:
-    """The full k-subset scan: True when some k-subset induces a row-major
-    edge mask (positions 1..k in subset order) in table."""
-    dyad_pos = {d: i for i, d in enumerate((i, j) for i in range(1, k) for j in range(i + 1, k + 1))}
+    """The full k-subset scan: True when some k-subset induces an edge mask
+    (the subset's vertices as 1..k in order, dyad (a, b) at bit
+    C(b-1, 2) + a-1) in table."""
     for subset in combinations(range(1, g.n + 1), k):
         m = 0
-        for a in range(k):
-            for b in range(a + 1, k):
-                if g.has_edge(subset[a], subset[b]):
-                    m |= 1 << dyad_pos[(a + 1, b + 1)]
+        for a in range(1, k):
+            for b in range(a + 1, k + 1):
+                if g.has_edge(subset[a - 1], subset[b - 1]):
+                    m |= 1 << (comb(b - 1, 2) + a - 1)
         if m in table:
             return True
     return False

@@ -15,7 +15,8 @@ from graphforge import randomness
 from graphforge.graphs import (
     LIMITS,
     Graph,
-    _dyad_pos,
+    _copy_levels,
+    automorphism_count,
     canonical_form,
     complete_bipartite,
     complete_graph,
@@ -147,6 +148,18 @@ def test_distinct_labeled_copies_counts() -> None:
         assert factorial(g.n) % copies == 0
 
 
+def test_labeled_copies_are_colex_masks() -> None:
+    """For every class h on n <= 6 vertices, the labelled copies are the top
+    level of h's induced-subgraph prefix table, hold h's own mask (dyad
+    (i, j) at bit C(j-1, 2) + i-1), and number n!/|Aut(h)|."""
+    for n in range(7):
+        for h in enumerate_graph_classes(n):
+            copies = set(distinct_labeled_copies(h))
+            assert copies == _copy_levels(h)[n], canonical_form(h)
+            assert sum(1 << (comb(j - 1, 2) + i - 1) for i, j in h.edges) in copies
+            assert len(copies) == factorial(n) // automorphism_count(h)
+
+
 def test_likelihood_complete_and_empty() -> None:
     for t in range(2, 7):
         assert likelihood_exact(complete_graph(t)) == Fraction(1, factorial(t))
@@ -169,7 +182,7 @@ def _likelihood_by_copies(g: Graph) -> Fraction:
     """The definition: sum over the distinct labelled copies H of g of
     prod_t 1 / (t * C(t-1, indeg_H(t)))."""
     n = g.n
-    dyads = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    dyads = [(i, j) for j in range(2, n + 1) for i in range(1, j)]  # in mask-bit order
     total = Fraction(0)
     for mask in distinct_labeled_copies(g):
         indeg = [0] * (n + 1)
@@ -310,7 +323,7 @@ def test_mask_draws_copy_the_stdlib_draws() -> None:
     generators must end in the same state.  The mask holds the set of picks;
     the shared end state pins how many draws of which width made them."""
     n = LIMITS["exact_n"]
-    pos = _dyad_pos(n)
+    pos = {(i, j): comb(j - 1, 2) + i - 1 for j in range(2, n + 1) for i in range(1, j)}
     samples = 400
     for seed in range(6):
         rng, twin = random.Random(seed), random.Random(seed)

@@ -344,7 +344,7 @@ def test_is_recursive_tree_matches_search_on_relabelled_ua_trees() -> None:
 def test_ua_likelihood_matches_copy_count_by_search() -> None:
     for n in range(2, 8):
         for t in enumerate_tree_classes(n):
-            dyads = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+            dyads = [(i, j) for j in range(2, n + 1) for i in range(1, j)]  # in mask-bit order
             count = sum(
                 _recursive_by_search(Graph(n, frozenset(d for k, d in enumerate(dyads) if (m >> k) & 1)))
                 for m in distinct_labeled_copies(t)
