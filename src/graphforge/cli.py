@@ -155,6 +155,8 @@ def _cmd_likelihood(args: argparse.Namespace) -> int:
     modes = [args.exact, args.mc is not None, args.bounds, args.extremes is not None]
     if sum(modes) != 1:
         raise ValueError("choose exactly one of --exact, --mc, --bounds, --extremes")
+    if args.extremes is None and args.format is not None:
+        raise ValueError("--format applies only to --extremes")
     if args.extremes is not None:
         table = likelihood_extremes(args.extremes)
         if args.format == "json":
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_like.add_argument("--bounds", action="store_true", help="automorphism-count bounds")
     p_like.add_argument("--extremes", type=int, metavar="N", help=f"full class table at size N (N <= {extremes_n})")
     p_like.add_argument("--seed", type=int, help="RNG seed (required with --mc)")
-    p_like.add_argument("--format", default="csv", choices=("csv", "json"))
+    p_like.add_argument("--format", choices=("csv", "json"))
     _add_out(p_like)
     p_like.set_defaults(fn=_cmd_likelihood)
 

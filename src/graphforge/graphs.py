@@ -345,6 +345,7 @@ def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
 # upper-triangle adjacency string over the vertex orderings visited by an
 # individualisation-refinement search.  The visited set is closed under
 # isomorphism, so the certificate is equal exactly for isomorphic graphs.
+# Leaves are compared as C(n,2)-bit numbers, which order like the strings.
 
 # The cache key packs the rows into one int, n bits per row.
 _CANON_CACHE: dict[tuple[int, int], bytes] = {}
@@ -415,24 +416,22 @@ def _pairwise_twins(rows: tuple[int, ...], cell: tuple[int, ...]) -> bool:
 
 
 def _canon_search(n: int, rows: tuple[int, ...]) -> str:
-    best: list[str | None] = [None]
-
-    def leaf(order: list[int]) -> None:
-        chunks = []
-        for p in range(n):
-            rp = rows[order[p]]
-            chunks.append("".join("1" if (rp >> order[q]) & 1 else "0" for q in range(p + 1, n)))
-        s = "".join(chunks)
-        if best[0] is None or s < best[0]:
-            best[0] = s
+    best = 1 << comb(n, 2)  # above every C(n,2)-bit leaf
 
     def search(cells: list[tuple[int, ...]], quiet: frozenset) -> None:
+        nonlocal best
         cells = _refine(rows, cells, quiet)
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            leaf([c[0] for c in cells])
+            order = [c[0] for c in cells]
+            leaf = 0
+            for p, v in enumerate(order):
+                rv = rows[v]
+                for u in order[p + 1 :]:
+                    leaf = leaf << 1 | (rv >> u & 1)
+            best = min(best, leaf)
             return
         cell = cells[idx]
         branch = (cell[0],) if _pairwise_twins(rows, cell) else cell
@@ -443,8 +442,7 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
             search(cells[:idx] + [(v,), rest] + cells[idx + 1 :], quiet)
 
     search([tuple(range(1, n + 1))], frozenset())
-    assert best[0] is not None
-    return best[0]
+    return format(best, f"0{comb(n, 2)}b")
 
 
 @lru_cache(maxsize=None)
@@ -454,7 +452,8 @@ def _class_law(n: int, tree: bool = False) -> dict[bytes, tuple[Graph, Fraction]
     representative found, exact probability).  Both processes treat every
     labelling alike, so the law at n is the law at n - 1 pushed through each
     attach set of vertex n: a k-set has probability 1/(n * C(n-1, k)), and
-    under uniform attachment only k = 1 occurs, with probability 1/(n-1)."""
+    under uniform attachment only k = 1 occurs, with probability 1/(n-1).
+    A child is certified from its rows; only a first representative is built."""
     if n <= 1:
         g = empty_graph(n)
         return {canonical_form(g): (g, Fraction(1))}
@@ -462,9 +461,10 @@ def _class_law(n: int, tree: bool = False) -> dict[bytes, tuple[Graph, Fraction]
     masks = [1 << v for v in range(n - 1)] if tree else range(1 << (n - 1))
     for g, p in _class_law(n - 1, tree).values():
         for attach_mask in masks:
-            h = add_vertex(g, _vertices(attach_mask << 1))
-            key = canonical_form(h)
-            rep, q = law.get(key, (h, 0))
+            attach = attach_mask << 1
+            rows = tuple(r | (attach >> v & 1) << n for v, r in enumerate(g.rows)) + (attach,)
+            key = f"{n}:{_canon_search(n, rows)}".encode()
+            rep, q = law.get(key) or (add_vertex(g, _vertices(attach)), 0)
             law[key] = (rep, q + p / (n - 1 if tree else n * comb(n - 1, attach_mask.bit_count())))
     return law
 
@@ -537,6 +537,8 @@ def contains_induced(g: Graph, h: Graph) -> bool:
         return False
     if k == 0:
         return True
+    _check_limit("exact_n", k, "isomorphism supported for n <= {limit}, got {n}")
+    _check_limit("exact_n", g.n, "induced-subgraph search supported for hosts with n <= {limit}, got {n}")
     if k <= LIMITS["walk_k"]:
         return _induces_mask_in(g, _copy_levels(h))
     return any(is_isomorphic(induced_subgraph(g, s), h) for s in combinations(range(1, g.n + 1), k))
@@ -571,6 +573,7 @@ def _threshold_forbidden_levels() -> tuple[frozenset[int], ...]:
 
 def is_threshold_by_forbidden(g: Graph) -> bool:
     """Characterisation route: no induced P4, C4, or 2K2."""
+    _check_limit("exact_n", g.n, "forbidden-subgraph threshold test supported for n <= {limit}, got {n}")
     return not _induces_mask_in(g, _threshold_forbidden_levels())
 
 

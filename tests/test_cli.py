@@ -155,6 +155,17 @@ def test_likelihood_mode_flags_are_exclusive() -> None:
     assert run_cli("likelihood", "--graph", "K3", "--exact", "--bounds").returncode == 2
 
 
+def test_likelihood_format_applies_only_to_extremes(capsys) -> None:
+    for mode in (["--exact"], ["--bounds"], ["--mc", "10", "--seed", "1"]):
+        for fmt in ("csv", "json"):
+            assert main(["likelihood", "--graph", "K3", *mode, "--format", fmt]) == 2
+            assert capsys.readouterr() == ("", "error: --format applies only to --extremes\n")
+    assert main(["likelihood", "--extremes", "3"]) == 0
+    default = capsys.readouterr().out
+    assert main(["likelihood", "--extremes", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_random_subcommands_require_seed() -> None:
     r = run_cli("random", "gnp", "--n", "6", "--p", "1/2")
     assert r.returncode == 2

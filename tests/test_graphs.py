@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -150,6 +152,41 @@ def test_class_counts() -> None:
 def test_class_enumeration_rejects_negative_sizes() -> None:
     with pytest.raises(ValueError):
         enumerate_graph_classes(-1)
+
+
+@lru_cache(maxsize=None)
+def _class_law_reference(n: int, tree: bool = False) -> dict:
+    """The class law with every child built by add_vertex and certified by
+    canonical_form, in the engine's order: parents in law order, attach
+    masks ascending."""
+    if n <= 1:
+        g = empty_graph(n)
+        return {canonical_form(g): (g, Fraction(1))}
+    law: dict = {}
+    masks = [1 << v for v in range(n - 1)] if tree else range(1 << (n - 1))
+    for g, p in _class_law_reference(n - 1, tree).values():
+        for attach_mask in masks:
+            h = add_vertex(g, [v + 1 for v in range(n - 1) if attach_mask >> v & 1])
+            key = canonical_form(h)
+            rep, q = law.get(key, (h, 0))
+            law[key] = (rep, q + p / (n - 1 if tree else n * comb(n - 1, attach_mask.bit_count())))
+    return law
+
+
+def test_class_law_matches_the_reference() -> None:
+    """Same certificates, masses, first representatives and order."""
+    for tree, top in ((False, 7), (True, 9)):
+        for n in range(top + 1):
+            law = graphs_module._class_law(n, tree)
+            assert list(law.items()) == list(_class_law_reference(n, tree).items()), (n, tree)
+
+
+def test_class_law_leaves_the_certificate_cache_empty(monkeypatch) -> None:
+    monkeypatch.setattr(graphs_module, "_CANON_CACHE", {})
+    graphs_module._class_law.cache_clear()
+    graphs_module._class_law(7)
+    graphs_module._class_law(7, tree=True)
+    assert graphs_module._CANON_CACHE == {}
 
 
 def test_contains_induced() -> None:

@@ -1,8 +1,10 @@
-"""Every name a graphforge module imports is used in that module."""
+"""Every name a graphforge module imports is used in that module, and every
+private module-level name is used somewhere in the package."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import graphforge
@@ -28,3 +30,48 @@ def test_every_imported_name_is_used() -> None:
     assert len(modules) >= 7
     unused = {p.name: _unused_imports(ast.parse(p.read_text(), p.name)) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level functions, classes and constants named with one leading
+    underscore."""
+    defined: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node
+    return defined
+
+
+def _references(node: ast.AST) -> Counter:
+    """Loads of a name, attribute reads and from-imports under node."""
+    refs: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_every_private_name_is_used() -> None:
+    """A helper that only its own body refers to is dead code."""
+    trees = {p.name: ast.parse(p.read_text(), p.name) for p in sorted(PACKAGE.glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if used[name] - _references(node)[name] <= 0
+    ]
+    assert len(trees) >= 8
+    assert unused == []

@@ -23,6 +23,7 @@ from graphforge.graphs import (
     empty_graph,
     enumerate_graph_classes,
     is_isomorphic,
+    is_threshold_by_forbidden,
     path_graph,
     to_bitstring,
 )
@@ -125,6 +126,10 @@ CASES = [
      "bit cost a(n) supported for n <= 65536, got 65537", True),
     ("cost_a_closed_n", randomness_cost_a_closed,
      "closed form of a(n) supported for n <= 8192, got 8193", False),
+    ("exact_n", lambda s: contains_induced(path_graph(s), path_graph(4)),
+     "induced-subgraph search supported for hosts with n <= 12, got 13", True),
+    ("exact_n", lambda s: is_threshold_by_forbidden(path_graph(s)),
+     "forbidden-subgraph threshold test supported for n <= 12, got 13", True),
 ]
 IDS = [f"{entry}-{k}" for k, (entry, *_) in enumerate(CASES)]
 
