@@ -31,6 +31,7 @@ from .graphs import (
     to_bitstring,
     to_dot,
     to_json,
+    to_json_obj,
 )
 from .machines import interpret, interpret_modifiable, parse_model, parse_rule
 from .randomness import (
@@ -102,7 +103,7 @@ def _sample_text(g: Graph, fmt: str, seed: int, meta: dict) -> str:
     """Serialize a sampled graph; json and dot record the seed, the matrix
     format stays pure bits."""
     if fmt == "json":
-        obj = {"graph": json.loads(to_json(g)), "seed": seed, **meta}
+        obj = {"graph": to_json_obj(g), "seed": seed, **meta}
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt == "dot":
         return f"// seed {seed}\n" + to_dot(g)
@@ -157,6 +158,10 @@ def _cmd_likelihood(args: argparse.Namespace) -> int:
         raise ValueError("choose exactly one of --exact, --mc, --bounds, --extremes")
     if args.extremes is None and args.format is not None:
         raise ValueError("--format applies only to --extremes")
+    if args.extremes is not None and args.graph is not None:
+        raise ValueError("--graph applies only to --exact, --mc, and --bounds")
+    if args.mc is None and args.seed is not None:
+        raise ValueError("--seed applies only to --mc")
     if args.extremes is not None:
         table = likelihood_extremes(args.extremes)
         if args.format == "json":

@@ -22,10 +22,12 @@ What "earlier vertices labelled c" means depends on the memory model:
                   retroactively saturating that label pair
 
 _step is the step semantics: it places one vertex onto a run prefix and
-records the edges it adds. It has two loops: _run replays one string from
-step 1 (interpret, interpret_modifiable, the CLI's build), and verify._runs
-walks every string of a length depth-first, so strings that share a prefix
-share its steps. _check_run refuses illegal runs before either loop starts.
+records the edges it adds. Two loops sit beside it. _run replays one run
+from step 1 on one mutable edge set (interpret, interpret_modifiable, the
+CLI's build). _runs walks every run of a length depth-first; each step
+branches over one fixed list of (bit, choice) options, so runs that share
+a prefix, across strings and choice sequences alike, share its steps.
+_check_run refuses illegal runs before either loop starts.
 
 Rules are written as mnemonics like "0>1,1>-": bit 0 joins label-1 vertices,
 bit 1 adds nothing ("-" is NoEdge, "E" is DominateAll, "0"/"1" are joins).
@@ -372,6 +374,37 @@ def _run(
         steps.append(rec)
     final = LabeledGraph(Graph(len(labels), frozenset(edges)), labels)
     return ConstructionTrace(rule, model, x, choices, tuple(steps), final)
+
+
+def _runs(rule: RuleSet, model: MemoryModel, n: int):
+    """Every trace of the rule at string length n, in product order over
+    the steps' (bit, choice) options: bit 0 before 1 and, under the
+    modifiable model, "s" before "m", where "m" is an option only when the
+    bit's action is a label join. Outside the modifiable model this is
+    numeric string order. The walk is depth-first over run prefixes,
+    pushing children in reverse so that traces leave in order; one _step
+    extends a prefix, so siblings share their parent's steps."""
+    _check_run(rule, model, n)
+    fading = model.kind == "fading"
+    modifiable = model.kind == "modifiable"
+    options = [
+        (bit, choice)
+        for bit in (1, 0)
+        for choice in ("ms" if modifiable and rule.action_for(bit).join_target is not None else "s")
+    ]
+    stack = [("", (), "", (), frozenset())]
+    while stack:
+        x, labels, choices, steps, edges = stack.pop()
+        t = len(labels)
+        if t == n:
+            final = LabeledGraph(Graph(n, edges), labels)
+            yield ConstructionTrace(rule, model, x, choices if modifiable else None, steps, final)
+            continue
+        for bit, choice in options:
+            grown = labels + (bit,)
+            rec = _step(rule, fading, grown, edges, t + 1, choice == "m")
+            stack.append((x + "01"[bit], grown, choices + choice, steps + (rec,),
+                          edges.union(rec.edges_added)))
 
 
 def memory_modifiable_steps(trace: ConstructionTrace) -> list[int]:

@@ -25,11 +25,12 @@ The reachability helpers (enumerate_outputs, reachable_classes,
 find_constructions, expressiveness_count, hierarchy_report) answer which
 isomorphism classes each memory model can emit at all.
 
-Every check reads its machine runs from one enumerator, _runs, which yields
-each trace of a rule at one string length (one per legal choice sequence
-under the modifiable model); only the fixed worked examples of C_modifiable
-and C_pnfree call the interpreters directly.  P2, P3 and P5 share one table
-loop, _table_runs, which compares every output with its closed-form family.
+Every check reads its machine runs from machines._runs, which yields each
+trace of a rule at one string length (one per legal choice sequence under
+the modifiable model); this module enumerates no runs itself, and only the
+fixed worked examples of C_modifiable and C_pnfree call the interpreters
+directly.  P2, P3 and P5 share one table loop, _table_runs, which compares
+every output with its closed-form family.
 C_modifiable reads rewrite steps from the traces' edge records: steps only
 add edges and record only new ones, so deleting vertex t from G_t fails to
 recover G_{t-1} up to isomorphism exactly when step t added an edge between
@@ -79,7 +80,6 @@ from .machines import (
     NO_MEMORY,
     NO_MEMORY_RULES,
     ConstructionTrace,
-    LabeledGraph,
     MemoryModel,
     RuleSet,
     fading_memory,
@@ -87,8 +87,7 @@ from .machines import (
     interpret_modifiable,
     memory_modifiable_steps,
     parse_rule,
-    _check_run,
-    _step,
+    _runs,
 )
 
 PROPOSITION_IDS = ("P2", "P3", "P5", "C_modifiable", "C_pnfree")
@@ -158,49 +157,8 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _strings(n: int):
-    """All instruction strings of length n in numeric order."""
-    if n == 0:
-        yield ""
-        return
-    for v in range(1 << n):
-        yield format(v, f"0{n}b")
-
-
 def _rules_for(model: MemoryModel) -> tuple[RuleSet, ...]:
     return NO_MEMORY_RULES if model.kind == "none" else FULL_RULES
-
-
-def _runs(rule: RuleSet, model: MemoryModel, n: int):
-    """Every trace of the rule at string length n, strings in numeric order;
-    under the modifiable model, one trace per legal choice sequence of each
-    string, in product order ("s" before "m"). The walk is depth-first over
-    run prefixes, on the bit trie (modifiable: each string's choice trie),
-    pushing children in reverse so that traces leave in order. One _step
-    extends a prefix, so siblings share their parent's steps."""
-    _check_run(rule, model, n)
-    fading = model.kind == "fading"
-    for x in _strings(n) if model.kind == "modifiable" else [None]:
-        stack = [("", (), "", (), frozenset())]
-        while stack:
-            prefix, labels, choices, steps, edges = stack.pop()
-            t = len(labels)
-            if t == n:
-                final = LabeledGraph(Graph(n, edges), labels)
-                chosen = None if x is None else choices
-                yield ConstructionTrace(rule, model, prefix, chosen, steps, final)
-                continue
-            if x is None:
-                branches = ((1, "s"), (0, "s"))
-            else:
-                bit = int(x[t])
-                join = rule.action_for(bit).join_target is not None
-                branches = ((bit, "m"), (bit, "s")) if join else ((bit, "s"),)
-            for bit, choice in branches:
-                grown = labels + (bit,)
-                rec = _step(rule, fading, grown, edges, t + 1, choice == "m")
-                stack.append((prefix + "01"[bit], grown, choices + choice, steps + (rec,),
-                              edges.union(rec.edges_added)))
 
 
 def _check_enumeration_bound(model: MemoryModel, n: int, what: str) -> None:
@@ -224,7 +182,7 @@ def _counterexample(trace: ConstructionTrace, expected: str) -> Counterexample:
 # ---------------------------------------------------------------------------
 
 def _reachable_with_witnesses(model: MemoryModel, n: int) -> dict[bytes, ConstructionTrace]:
-    """Canonical certificate -> first run (in rule, then string order) reaching it."""
+    """Canonical certificate -> first run (in rule, then _runs order) reaching it."""
     out: dict[bytes, ConstructionTrace] = {}
     for rule in _rules_for(model):
         for trace in _runs(rule, model, n):
@@ -251,16 +209,18 @@ def expressiveness_count(model: MemoryModel, n: int) -> int:
 
 
 def find_constructions(g: Graph, model: MemoryModel) -> list[tuple[str, str]]:
-    """All (rule, x) whose output is isomorphic to g; for the modifiable
-    model a pair is included when some choice sequence reaches g."""
+    """All (rule, x) whose output is isomorphic to g, in rule order with
+    strings ascending; for the modifiable model a pair is included when
+    some choice sequence reaches g."""
     _check_enumeration_bound(model, g.n, "construction search")
     hits: list[tuple[str, str]] = []
     for rule in _rules_for(model):
+        # a string is tested until its first hit
+        xs: set[str] = set()
         for trace in _runs(rule, model, g.n):
-            pair = (rule.mnemonic, trace.x)
-            # choice sequences of one string arrive together; test each pair once
-            if hits[-1:] != [pair] and is_isomorphic(trace.final.graph, g):
-                hits.append(pair)
+            if trace.x not in xs and is_isomorphic(trace.final.graph, g):
+                xs.add(trace.x)
+        hits.extend((rule.mnemonic, x) for x in sorted(xs))
     return hits
 
 

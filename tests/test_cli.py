@@ -166,6 +166,22 @@ def test_likelihood_format_applies_only_to_extremes(capsys) -> None:
     assert capsys.readouterr().out == default
 
 
+def test_likelihood_graph_does_not_apply_to_extremes(capsys) -> None:
+    for fmt in ([], ["--format", "json"]):
+        assert main(["likelihood", "--extremes", "2", "--graph", "K3", *fmt]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --graph applies only to --exact, --mc, and --bounds\n"
+        )
+
+
+def test_likelihood_seed_applies_only_to_mc(capsys) -> None:
+    for mode in (["--graph", "K3", "--exact"], ["--graph", "K3", "--bounds"], ["--extremes", "2"]):
+        assert main(["likelihood", *mode, "--seed", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: --seed applies only to --mc\n")
+    assert main(["likelihood", "--graph", "K3", "--mc", "10", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.endswith("seed 5\n")
+
+
 def test_random_subcommands_require_seed() -> None:
     r = run_cli("random", "gnp", "--n", "6", "--p", "1/2")
     assert r.returncode == 2

@@ -64,74 +64,79 @@ def _vertices_for_pairs(pairs: int) -> int:
     return next(n for n in count() if comb(n, 2) >= pairs)
 
 
-# (entry, entry point called at size s, its message at s = limit + 1, cheap
-# enough to answer at the limit); a size counts vertices unless the entry
-# counts edges, bits, string lengths or max_n.
+# (entry, name, entry point called at size s, its message at s = limit + 1,
+# cheap enough to answer at the limit); a size counts vertices unless the
+# entry counts edges, bits, string lengths or max_n. A case's test ID is
+# "{entry}-{name}", so the name is a fixed label that no other row of the
+# same entry may share; a new row takes its entry point as its name. The
+# numbered rows keep, as their names, the list positions their IDs were
+# built from before rows were named, so those IDs did not change.
 CASES = [
-    ("exact_n", lambda s: canonical_form(empty_graph(s)),
+    ("exact_n", "0", lambda s: canonical_form(empty_graph(s)),
      "canonical form supported for n <= 12, got 13", True),
-    ("exact_n", lambda s: is_isomorphic(empty_graph(s), empty_graph(s)),
+    ("exact_n", "1", lambda s: is_isomorphic(empty_graph(s), empty_graph(s)),
      "isomorphism supported for n <= 12, got 13", True),
-    ("exact_n", lambda s: likelihood_mc(empty_graph(s), 1, 0),
+    ("exact_n", "2", lambda s: likelihood_mc(empty_graph(s), 1, 0),
      "Monte-Carlo likelihood supported for 1 <= n <= 12, got 13", True),
-    ("exact_n", lambda s: tree_positivity_check(path_graph(s), 1, 0),
+    ("exact_n", "3", lambda s: tree_positivity_check(path_graph(s), 1, 0),
      "positivity check supported for n <= 12, got 13", True),
-    ("automorphism_n", lambda s: graphs.automorphism_count(path_graph(s)),
+    ("automorphism_n", "4", lambda s: graphs.automorphism_count(path_graph(s)),
      "automorphism counting supported for n <= 10", True),
-    ("class_law_n", lambda s: likelihood_exact(path_graph(s)),
+    ("class_law_n", "5", lambda s: likelihood_exact(path_graph(s)),
      "labelled-copy enumeration supported for n <= 7", True),
-    ("class_law_n", enumerate_graph_classes,
+    ("class_law_n", "6", enumerate_graph_classes,
      "class enumeration supported for 0 <= n <= 7", True),
-    ("class_law_n", enumerate_tree_classes,
+    ("class_law_n", "7", enumerate_tree_classes,
      "labelled-tree enumeration supported for 1 <= n <= 7", True),
-    ("tree_law_n", lambda s: ua_likelihood_exact(path_graph(s)),
+    ("tree_law_n", "8", lambda s: ua_likelihood_exact(path_graph(s)),
      "exact tree likelihood supported for n <= 7", True),
-    ("copy_set_n", lambda s: distinct_labeled_copies(path_graph(s)),
+    ("copy_set_n", "9", lambda s: distinct_labeled_copies(path_graph(s)),
      "labelled-copy enumeration supported for n <= 7", True),
-    ("labelled_trees_n", enumerate_labeled_trees,
+    ("labelled_trees_n", "10", enumerate_labeled_trees,
      "labelled-tree enumeration supported for 1 <= n <= 7", True),
-    ("extremes_n", likelihood_extremes,
+    ("extremes_n", "11", likelihood_extremes,
      "extremes computed for 1 <= n <= 6", True),
-    ("enumeration_n", lambda s: enumerate_outputs(RULE, FULL_MEMORY, s),
+    ("enumeration_n", "12", lambda s: enumerate_outputs(RULE, FULL_MEMORY, s),
      "output enumeration bounds: n <= 12, modifiable n <= 7", False),
-    ("enumeration_n", lambda s: reachable_classes(FULL_MEMORY, s),
+    ("enumeration_n", "13", lambda s: reachable_classes(FULL_MEMORY, s),
      "output enumeration bounds: n <= 12, modifiable n <= 7", False),
-    ("enumeration_n", lambda s: find_constructions(empty_graph(s), FULL_MEMORY),
+    ("enumeration_n", "14", lambda s: find_constructions(empty_graph(s), FULL_MEMORY),
      "construction search bounds: n <= 12, modifiable n <= 7", False),
-    ("modifiable_n", lambda s: enumerate_outputs(RULE, MODIFIABLE, s),
+    ("modifiable_n", "15", lambda s: enumerate_outputs(RULE, MODIFIABLE, s),
      "output enumeration bounds: n <= 12, modifiable n <= 7", False),
-    ("modifiable_n", lambda s: find_constructions(empty_graph(s), MODIFIABLE),
+    ("modifiable_n", "16", lambda s: find_constructions(empty_graph(s), MODIFIABLE),
      "construction search bounds: n <= 12, modifiable n <= 7", False),
-    ("modifiable_n", lambda s: verify_proposition("C_modifiable", s),
+    ("modifiable_n", "17", lambda s: verify_proposition("C_modifiable", s),
      "C_modifiable supports max_n <= 7", False),
-    ("reachability_n", lambda s: expressiveness_count(FULL_MEMORY, s),
+    ("reachability_n", "18", lambda s: expressiveness_count(FULL_MEMORY, s),
      "expressiveness counting supported for n <= 8", False),
-    ("reachability_n", hierarchy_report,
+    ("reachability_n", "19", hierarchy_report,
      "hierarchy comparison supported for max_n <= 8", False),
-    ("P2_n", lambda s: verify_proposition("P2", s), "P2 supports max_n <= 10", False),
-    ("P3_n", lambda s: verify_proposition("P3", s), "P3 supports max_n <= 8", False),
-    ("P5_n", lambda s: verify_proposition("P5", s), "P5 supports max_n <= 8", False),
-    ("C_pnfree_n", lambda s: verify_proposition("C_pnfree", s), "C_pnfree supports max_n <= 8", False),
-    ("build_edges", lambda s: sample_ua_parents(s + 1, 0),
+    ("P2_n", "20", lambda s: verify_proposition("P2", s), "P2 supports max_n <= 10", False),
+    ("P3_n", "21", lambda s: verify_proposition("P3", s), "P3 supports max_n <= 8", False),
+    ("P5_n", "22", lambda s: verify_proposition("P5", s), "P5 supports max_n <= 8", False),
+    ("C_pnfree_n", "23", lambda s: verify_proposition("C_pnfree", s), "C_pnfree supports max_n <= 8", False),
+    ("build_edges", "24", lambda s: sample_ua_parents(s + 1, 0),
      "a 1048578-vertex tree may build 1048577 edges; limit 1048576", False),
-    ("build_edges", lambda s: sample_gnp(_vertices_for_pairs(s), 0, 1),
+    ("build_edges", "25", lambda s: sample_gnp(_vertices_for_pairs(s), 0, 1),
      "a 1449-vertex sample may build 1049076 edges; limit 1048576", False),
-    ("build_edges", lambda s: sample_vertex_addition(_vertices_for_pairs(s), Uniform(), 1),
+    ("build_edges", "26", lambda s: sample_vertex_addition(_vertices_for_pairs(s), Uniform(), 1),
      "a 1449-vertex sample may build 1049076 edges; limit 1048576", False),
-    ("build_edges", lambda s: interpret(parse_rule("0>-,1>-"), FULL_MEMORY, "0" * _vertices_for_pairs(s)),
+    ("build_edges", "27", lambda s: interpret(parse_rule("0>-,1>-"), FULL_MEMORY, "0" * _vertices_for_pairs(s)),
      "a 1449-bit run under full may build 1049076 edges; limit 1048576", False),
-    ("matrix_bits", lambda s: to_bitstring(empty_graph(_vertices_for_pairs(s))),
+    ("matrix_bits", "28", lambda s: to_bitstring(empty_graph(_vertices_for_pairs(s))),
      "matrix output supports C(n,2) <= 16777216 bits (n <= 5793), got n=5794", False),
-    ("cost_a_n", randomness_cost_a,
+    ("cost_a_n", "29", randomness_cost_a,
      "bit cost a(n) supported for n <= 65536, got 65537", True),
-    ("cost_a_closed_n", randomness_cost_a_closed,
+    ("cost_a_closed_n", "30", randomness_cost_a_closed,
      "closed form of a(n) supported for n <= 8192, got 8193", False),
-    ("exact_n", lambda s: contains_induced(path_graph(s), path_graph(4)),
+    ("exact_n", "31", lambda s: contains_induced(path_graph(s), path_graph(4)),
      "induced-subgraph search supported for hosts with n <= 12, got 13", True),
-    ("exact_n", lambda s: is_threshold_by_forbidden(path_graph(s)),
+    ("exact_n", "32", lambda s: is_threshold_by_forbidden(path_graph(s)),
      "forbidden-subgraph threshold test supported for n <= 12, got 13", True),
 ]
-IDS = [f"{entry}-{k}" for k, (entry, *_) in enumerate(CASES)]
+IDS = [f"{entry}-{name}" for entry, name, *_ in CASES]
+ROWS = [(entry, call, message, cheap) for entry, _, call, message, cheap in CASES]
 
 
 @pytest.fixture
@@ -148,13 +153,17 @@ def no_work(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
 
 
+def test_case_ids_are_unique() -> None:
+    assert len(set(IDS)) == len(IDS)
+
+
 def test_every_entry_is_read_by_some_case() -> None:
     # walk_k and the copy_set_n route of the hit loop choose a route, not an
     # error; the route tests below cover them
     assert {entry for entry, *_ in CASES} | {"walk_k"} == set(LIMITS)
 
 
-@pytest.mark.parametrize(("entry", "call", "message", "cheap"), CASES, ids=IDS)
+@pytest.mark.parametrize(("entry", "call", "message", "cheap"), ROWS, ids=IDS)
 def test_one_past_the_limit_raises_before_any_work(no_work, entry, call, message, cheap) -> None:
     with pytest.raises(ValueError) as exc:
         call(LIMITS[entry] + 1)
@@ -162,14 +171,14 @@ def test_one_past_the_limit_raises_before_any_work(no_work, entry, call, message
 
 
 @pytest.mark.parametrize(
-    ("entry", "call"), [(entry, call) for entry, call, _, cheap in CASES if cheap],
-    ids=[i for i, case in zip(IDS, CASES) if case[3]],
+    ("entry", "call"), [(entry, call) for entry, call, _, cheap in ROWS if cheap],
+    ids=[i for i, row in zip(IDS, ROWS) if row[3]],
 )
 def test_the_limit_itself_answers(entry, call) -> None:
     call(LIMITS[entry])
 
 
-@pytest.mark.parametrize(("entry", "call", "message", "cheap"), CASES, ids=IDS)
+@pytest.mark.parametrize(("entry", "call", "message", "cheap"), ROWS, ids=IDS)
 def test_a_lowered_entry_moves_the_bound(no_work, monkeypatch, entry, call, message, cheap) -> None:
     lowered = LIMITS[entry] - 1
     monkeypatch.setitem(LIMITS, entry, lowered)

@@ -17,6 +17,7 @@ from graphforge.graphs import (
     from_json,
     is_isomorphic,
     path_graph,
+    to_json,
 )
 from graphforge.machines import (
     FULL_MEMORY,
@@ -30,7 +31,7 @@ from graphforge.machines import (
     interpret_modifiable,
     parse_rule,
 )
-from graphforge import verify
+from graphforge import machines, verify
 from graphforge.families import fading_table_family, full_table_family
 from graphforge.verify import (
     PROPOSITION_IDS,
@@ -177,31 +178,77 @@ def test_enumeration_refuses_label_rules_without_memory() -> None:
         assert str(raised.value) == message
 
 
-def _choice_strings_reference(rule, x: str):
-    """Every legal choice sequence in product order: a step may modify only
-    when its action is a label join."""
-    options = ["sm" if rule.action_for(int(ch)).join_target is not None else "s" for ch in x]
-    yield from map("".join, product(*options))
+def _step_options(rule, model):
+    """The legal (bit, choice) options of one step, in product order: a
+    step may modify only under the modifiable model, and only when its
+    bit's action is a label join."""
+    modifiable = model.kind == "modifiable"
+    return [
+        (bit, choice)
+        for bit in (0, 1)
+        for choice in ("sm" if modifiable and rule.action_for(bit).join_target is not None else "s")
+    ]
 
 
 def _runs_by_replay(rule, model, n: int):
-    """The enumerator before prefixes were shared: every string, and every
-    choice sequence, replayed from step 1."""
-    for x in verify._strings(n):
+    """Every run as a product over the per-step options, each replayed from
+    step 1 through the interpreters."""
+    for run in product(_step_options(rule, model), repeat=n):
+        x = "".join(str(bit) for bit, _ in run)
         if model.kind == "modifiable":
-            for choices in _choice_strings_reference(rule, x):
-                yield interpret_modifiable(rule, x, choices)
+            yield interpret_modifiable(rule, x, "".join(choice for _, choice in run))
         else:
             yield interpret(rule, model, x)
 
 
+_WALK_CASES = [(NO_MEMORY, NO_MEMORY_RULES, 8), (FULL_MEMORY, FULL_RULES, 8)]
+_WALK_CASES += [(fading_memory(2), FULL_RULES, 8), (MODIFIABLE, FULL_RULES, 6)]
+
+
 def test_shared_prefix_walk_matches_replay() -> None:
-    cases = [(NO_MEMORY, NO_MEMORY_RULES, 8), (FULL_MEMORY, FULL_RULES, 8)]
-    cases += [(fading_memory(2), FULL_RULES, 8), (MODIFIABLE, FULL_RULES, 6)]
-    for model, rules, max_n in cases:
+    for model, rules, max_n in _WALK_CASES:
         for rule in rules:
             for n in range(max_n + 1):
-                assert list(verify._runs(rule, model, n)) == list(_runs_by_replay(rule, model, n))
+                assert list(machines._runs(rule, model, n)) == list(_runs_by_replay(rule, model, n))
+
+
+def test_walk_steps_every_prefix_once(monkeypatch) -> None:
+    calls = 0
+    real = machines._step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(machines, "_step", counted)
+    for model, rules, _ in _WALK_CASES:
+        for rule in rules:
+            b = len(_step_options(rule, model))
+            for n in range(7):
+                calls = 0
+                list(machines._runs(rule, model, n))
+                assert calls == sum(b**t for t in range(1, n + 1)), (rule.mnemonic, str(model), n)
+
+
+def test_find_constructions_matches_order_free_reference() -> None:
+    # per rule, the ascending strings some replayed run of which is
+    # isomorphic to the target, compared by certificate
+    for model, rules, _ in _WALK_CASES:
+        for n in range(6):
+            outputs = {rule: {} for rule in rules}
+            for rule in rules:
+                for trace in _runs_by_replay(rule, model, n):
+                    outputs[rule].setdefault(trace.x, set()).add(canonical_form(trace.final.graph))
+            for g in enumerate_graph_classes(n):
+                cert = canonical_form(g)
+                want = [
+                    (rule.mnemonic, x)
+                    for rule in rules
+                    for x, certs in sorted(outputs[rule].items())
+                    if cert in certs
+                ]
+                assert find_constructions(g, model) == want, (str(model), to_json(g))
 
 
 def _rewrite_family_member_reference(g: Graph) -> bool:
