@@ -30,7 +30,7 @@ A below give the path sizes, with leftover positions staying isolated.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _unchecked
 from .machines import LabeledGraph, RuleSet
 from .machines import _check_instruction_string as check_bits
 
@@ -102,7 +102,7 @@ def _from_predicate(x: str, pred) -> LabeledGraph:
         for j in range(i + 1, n + 1)
         if pred(labels[i - 1], labels[j - 1], i, j)
     )
-    return LabeledGraph(Graph(n, edges), labels)
+    return _unchecked(LabeledGraph, graph=_unchecked(Graph, n=n, edges=edges), labels=labels)
 
 
 _FULL_PREDICATES = {

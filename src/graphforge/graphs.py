@@ -124,6 +124,15 @@ class Graph:
         return tuple(sorted((r.bit_count() for r in self.rows[1:]), reverse=True))
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` with its fields set as
+    given, built without __init__ or __post_init__. Only for values the
+    program made itself and knows valid; public constructors check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -406,13 +415,29 @@ def _refine(
 
 
 def _pairwise_twins(rows: tuple[int, ...], cell: tuple[int, ...]) -> bool:
-    """True when every pair in the cell has identical neighbourhoods outside
-    the pair; then all orderings of the cell are automorphic."""
-    for a, b in combinations(cell, 2):
+    """True when every pair in the cell are twins: their neighbourhoods
+    agree outside the pair. Swapping twins is an automorphism, and being
+    twins is an equivalence, so each vertex is compared with the first."""
+    a = cell[0]
+    for b in cell[1:]:
         outside = ~((1 << a) | (1 << b))
         if rows[a] & outside != rows[b] & outside:
             return False
     return True
+
+
+def _twin_classes(rows: tuple[int, ...], n: int) -> list[list[int]]:
+    """The twin classes of vertices 1..n, each ascending, ordered by least
+    vertex."""
+    classes: list[list[int]] = []
+    for v in range(1, n + 1):
+        for c in classes:
+            if _pairwise_twins(rows, (c[0], v)):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
 def _canon_search(n: int, rows: tuple[int, ...]) -> str:
@@ -421,8 +446,18 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
     def search(cells: list[tuple[int, ...]], quiet: frozenset) -> None:
         nonlocal best
         cells = _refine(rows, cells, quiet)
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
+        idx = 0
+        while idx < len(cells):
+            cell = cells[idx]
+            if len(cell) == 1:
+                idx += 1
+            elif _pairwise_twins(rows, cell):
+                # Individualising a twin in an equitable partition splits
+                # nothing, so the twin cell becomes singletons in cell
+                # order and the partition stays equitable.
+                cells = cells[:idx] + [(v,) for v in cell] + cells[idx + 1 :]
+                idx += len(cell)
+            else:
                 break
         else:
             order = [c[0] for c in cells]
@@ -433,16 +468,32 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
                     leaf = leaf << 1 | (rv >> u & 1)
             best = min(best, leaf)
             return
-        cell = cells[idx]
-        branch = (cell[0],) if _pairwise_twins(rows, cell) else cell
         # an equitable partition's cells split nothing in any child
         quiet = frozenset(cells)
-        for v in branch:
+        for v in cell:
             rest = tuple(u for u in cell if u != v)
             search(cells[:idx] + [(v,), rest] + cells[idx + 1 :], quiet)
 
     search([tuple(range(1, n + 1))], frozenset())
     return format(best, f"0{comb(n, 2)}b")
+
+
+def _attach_sets(classes: list[list[int]], tree: bool) -> list[tuple[int, int]]:
+    """(attach mask, multiplicity) pairs, ascending by mask: one attach set
+    per count of vertices taken from each twin class (exactly one vertex in
+    all under uniform attachment), made of each class's smallest vertices.
+    Vertex v is bit v - 1; the multiplicity is the number of attach sets
+    with the same counts, each giving an isomorphic child, and the set
+    made of smallest vertices has the least mask among them."""
+    if tree:
+        return [(1 << (c[0] - 1), len(c)) for c in classes]
+    sets = [(0, 1)]
+    for c in classes:
+        takes = [(0, 1)]
+        for k, v in enumerate(c, 1):
+            takes.append((takes[-1][0] | 1 << (v - 1), comb(len(c), k)))
+        sets = [(m | t, w * u) for m, w in sets for t, u in takes]
+    return sorted(sets)
 
 
 @lru_cache(maxsize=None)
@@ -453,19 +504,24 @@ def _class_law(n: int, tree: bool = False) -> dict[bytes, tuple[Graph, Fraction]
     labelling alike, so the law at n is the law at n - 1 pushed through each
     attach set of vertex n: a k-set has probability 1/(n * C(n-1, k)), and
     under uniform attachment only k = 1 occurs, with probability 1/(n-1).
+    Attach sets that differ by swapping twins of the parent give isomorphic
+    children of equal mass, so one set per twin-class count is searched,
+    weighted by how many sets it stands for.  It is the least mask among
+    them, and masks ascend, so each class keeps the first representative
+    and the place in the law that it would have if every set were searched.
     A child is certified from its rows; only a first representative is built."""
     if n <= 1:
         g = empty_graph(n)
         return {canonical_form(g): (g, Fraction(1))}
     law: dict[bytes, tuple[Graph, Fraction]] = {}
-    masks = [1 << v for v in range(n - 1)] if tree else range(1 << (n - 1))
     for g, p in _class_law(n - 1, tree).values():
-        for attach_mask in masks:
+        for attach_mask, copies in _attach_sets(_twin_classes(g.rows, n - 1), tree):
             attach = attach_mask << 1
             rows = tuple(r | (attach >> v & 1) << n for v, r in enumerate(g.rows)) + (attach,)
             key = f"{n}:{_canon_search(n, rows)}".encode()
             rep, q = law.get(key) or (add_vertex(g, _vertices(attach)), 0)
-            law[key] = (rep, q + p / (n - 1 if tree else n * comb(n - 1, attach_mask.bit_count())))
+            k = attach_mask.bit_count()
+            law[key] = (rep, q + p * copies / (n - 1 if tree else n * comb(n - 1, k)))
     return law
 
 

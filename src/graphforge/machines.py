@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .graphs import Graph, empty_graph, to_json_obj, _check_edge_cap
+from .graphs import Graph, empty_graph, to_json_obj, _check_edge_cap, _unchecked
 
 
 class InvalidActionForModel(ValueError):
@@ -244,7 +244,7 @@ class ConstructionTrace:
         edges: set[tuple[int, int]] = set()
         for rec in self.steps:
             edges.update(rec.edges_added)
-            out.append(Graph(rec.step, frozenset(edges)))
+            out.append(_unchecked(Graph, n=rec.step, edges=frozenset(edges)))
         return out
 
     def to_json_obj(self) -> dict:
@@ -357,7 +357,20 @@ def _step(
         added = ((t - 1, t),) if t > 1 and labels[t - 2] == c else ()
     else:
         added = tuple((i, t) for i in range(1, t) if labels[i - 1] == c)
-    return StepRecord(t, bit, action, modify, added)
+    return _unchecked(StepRecord, step=t, bit=bit, action=action, modified=modify, edges_added=added)
+
+
+def _trace(
+    rule: RuleSet, model: MemoryModel, x: str, choices: str | None,
+    steps: tuple[StepRecord, ...], edges: frozenset[tuple[int, int]], labels: tuple[int, ...],
+) -> ConstructionTrace:
+    """The trace of a finished run, built without re-checking what the run
+    made."""
+    graph = _unchecked(Graph, n=len(labels), edges=edges)
+    final = _unchecked(LabeledGraph, graph=graph, labels=labels)
+    return _unchecked(
+        ConstructionTrace, rule=rule, model=model, x=x, choices=choices, steps=steps, final=final
+    )
 
 
 def _run(
@@ -372,8 +385,7 @@ def _run(
         rec = _step(rule, fading, labels, edges, t, choices is not None and choices[t - 1] == "m")
         edges.update(rec.edges_added)
         steps.append(rec)
-    final = LabeledGraph(Graph(len(labels), frozenset(edges)), labels)
-    return ConstructionTrace(rule, model, x, choices, tuple(steps), final)
+    return _trace(rule, model, x, choices, tuple(steps), frozenset(edges), labels)
 
 
 def _runs(rule: RuleSet, model: MemoryModel, n: int):
@@ -397,8 +409,7 @@ def _runs(rule: RuleSet, model: MemoryModel, n: int):
         x, labels, choices, steps, edges = stack.pop()
         t = len(labels)
         if t == n:
-            final = LabeledGraph(Graph(n, edges), labels)
-            yield ConstructionTrace(rule, model, x, choices if modifiable else None, steps, final)
+            yield _trace(rule, model, x, choices if modifiable else None, steps, edges, labels)
             continue
         for bit, choice in options:
             grown = labels + (bit,)

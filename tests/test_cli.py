@@ -252,6 +252,14 @@ def test_main_callable_directly(capsys) -> None:
     assert capsys.readouterr().out.strip() == "10"
 
 
+def test_package_runs_as_the_cli() -> None:
+    for module in ("graphforge", "graphforge.cli"):
+        r = subprocess.run(
+            [sys.executable, "-m", module, "cost", "dyads", "--n", "5"], capture_output=True, text=True
+        )
+        assert (r.returncode, r.stdout) == (0, "10\n"), module
+
+
 def test_matrix_format_is_pure_bits() -> None:
     # one bit per vertex pair in row order, nothing else
     r = run_cli("build", "--rule", "0>E,1>E", "--model", "none", "--x", "101", "--format", "matrix")

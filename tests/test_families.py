@@ -22,6 +22,7 @@ from graphforge.families import (
     zero_anchored_blocks,
 )
 from graphforge.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     complete_split,
@@ -36,6 +37,7 @@ from graphforge.graphs import (
 from graphforge.machines import (
     FULL_MEMORY,
     FULL_RULES,
+    LabeledGraph,
     fading_memory,
     interpret,
     parse_rule,
@@ -198,3 +200,21 @@ def test_prime_families_small_strings() -> None:
     # and diverge once a join reaches back beyond the fading window
     assert family_Kprime("10").graph != family_K("10").graph
     assert family_Eprime("0101").graph != family_Ktilde("0101").graph
+
+
+def test_family_outputs_equal_their_public_rebuilds() -> None:
+    """Families build their graphs without re-checking them; every output
+    equals, and hashes like, its rebuild through the checked constructors."""
+    named = [family for family, _, _ in NAMED_FAMILY_MACHINES]
+    tables = [
+        lambda x, rule=rule, table=table: table(rule, x)
+        for rule in FULL_RULES
+        for table in (full_table_family, fading_table_family)
+    ]
+    for n in range(9):
+        for k in range(2**n):
+            x = format(k, f"0{n}b") if n else ""
+            for family in named + tables:
+                out = family(x)
+                rebuilt = LabeledGraph(Graph(out.graph.n, out.graph.edges), out.labels)
+                assert out == rebuilt and hash(out) == hash(rebuilt), x

@@ -46,6 +46,7 @@ from graphforge.graphs import (
     _labeled_copy_masks,
 )
 from graphforge import graphs as graphs_module
+from graphforge.machines import NO_MEMORY, interpret, parse_rule
 from graphforge.trees import sample_ua
 
 # Isomorphism-class counts for simple graphs on n = 1..6 vertices.
@@ -498,14 +499,18 @@ def _refine_reference(rows, cells):
 
 
 def _canon_search_reference(n, rows, refine, seen):
-    """The certificate search, appending each node's refined partition to
-    `seen`; it refines through `refine` and passes no quiet cells."""
+    """The certificate search without twin steps: every node, including
+    those reached by individualising a twin cell, refines through `refine`
+    and passes no quiet cells. Each node appends (its partition before
+    refinement, after refinement, whether a twin cell was individualised
+    to reach it) to `seen`."""
     best = None
 
-    def search(cells):
+    def search(cells, by_twin):
         nonlocal best
-        cells = refine(rows, cells)
-        seen.append(cells)
+        refined = refine(rows, cells)
+        seen.append((cells, refined, by_twin))
+        cells = refined
         wide = [i for i, cell in enumerate(cells) if len(cell) > 1]
         if not wide:
             order = [c[0] for c in cells]
@@ -524,15 +529,18 @@ def _canon_search_reference(n, rows, refine, seen):
         )
         for v in cell[:1] if twins else cell:
             rest = tuple(u for u in cell if u != v)
-            search(cells[:idx] + [(v,), rest] + cells[idx + 1 :])
+            search(cells[:idx] + [(v,), rest] + cells[idx + 1 :], twins)
 
-    search([tuple(range(1, n + 1))])
+    search([tuple(range(1, n + 1))], False)
     return best
 
 
 def test_quiet_splitters_keep_every_partition(monkeypatch) -> None:
-    """Same certificate as the reference search, and the same ordered
-    partition at every search node."""
+    """Same certificate as the reference search. Every reference node
+    reached by individualising a twin refines to the partition it was
+    given, which is why the engine places a twin cell without refining;
+    the engine's refined partitions are the reference's other nodes, one
+    for one and in order."""
     refine = graphs_module._refine
     got: list = []
 
@@ -547,7 +555,8 @@ def test_quiet_splitters_keep_every_partition(monkeypatch) -> None:
         cert = _canon_search_reference(g.n, g.rows, _refine_reference, want)
         got.clear()
         assert graphs_module._canon_search(g.n, g.rows) == cert
-        assert got == want
+        assert all(refined == cells for cells, refined, by_twin in want if by_twin)
+        assert got == [refined for _, refined, by_twin in want if not by_twin]
 
     # every labelled graph on up to 5 vertices, every seventh mask at n = 6
     # (a stride coprime to 2, so every pattern of low dyad bits occurs)
@@ -558,3 +567,69 @@ def test_quiet_splitters_keep_every_partition(monkeypatch) -> None:
     for n in range(7, 13):
         for _ in range(200):
             check(_mask_graph(n, rng.getrandbits(comb(n, 2))))
+
+
+# ---------------------------------------------------------------------------
+# twins: placed in one search step, and counted in the class law
+# ---------------------------------------------------------------------------
+
+def test_twin_steps_keep_the_certificate() -> None:
+    """Graphs made of twin classes: threshold graphs, complete split and
+    complete bipartite graphs."""
+    rule = parse_rule("0>E,1>-")
+
+    def threshold(n: int, k: int) -> Graph:
+        return interpret(rule, NO_MEMORY, format(k, f"0{n}b")).final.graph
+
+    rng = random.Random(16)
+    graphs = [threshold(n, k) for n in range(2, 11) for k in range(1 << n)]
+    graphs += [threshold(n, rng.getrandbits(n)) for n in (11, 12) for _ in range(100)]
+    for f in (complete_split, complete_bipartite):
+        graphs += [f(l, n - l) for n in range(2, 13) for l in range(n + 1)]
+    for g in graphs:
+        want = _canon_search_reference(g.n, g.rows, _refine_reference, [])
+        assert graphs_module._canon_search(g.n, g.rows) == want, g
+
+
+def test_twin_classes_are_the_transpositions_that_fix_the_graph() -> None:
+    """Swapping a and b maps a graph to itself exactly when a and b are
+    twins; the classes partition 1..n, each ascending, by least vertex."""
+    for n in range(1, 8):
+        for g in enumerate_graph_classes(n):
+            classes = graphs_module._twin_classes(g.rows, n)
+            assert sorted(v for c in classes for v in c) == list(range(1, n + 1))
+            assert all(c == sorted(c) for c in classes)
+            assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+            cls = {v: i for i, c in enumerate(classes) for v in c}
+            for a, b in combinations(range(1, n + 1), 2):
+                swap = {v: {a: b, b: a}.get(v, v) for v in range(1, n + 1)}
+                assert (relabel(g, swap) == g) == (cls[a] == cls[b]), (g, a, b)
+
+
+def test_class_law_searches_one_attach_set_per_twin_count(monkeypatch) -> None:
+    """At n = 7 the law searches 6,412 of the 9,984 children of the n = 6
+    classes, and 27 of 36 under uniform attachment; the multiplicities add
+    up to every attach set."""
+    searched = {False: 0, True: 0}
+    attached = {False: 0, True: 0}
+    search = graphs_module._canon_search
+    attach_sets = graphs_module._attach_sets
+
+    def counted_search(n, rows):
+        searched[tree] += n == 7
+        return search(n, rows)
+
+    def counted_sets(classes, tree):
+        sets = attach_sets(classes, tree)
+        if sum(map(len, classes)) == 6:
+            attached[tree] += sum(copies for _, copies in sets)
+        return sets
+
+    monkeypatch.setattr(graphs_module, "_canon_search", counted_search)
+    monkeypatch.setattr(graphs_module, "_attach_sets", counted_sets)
+    graphs_module._class_law.cache_clear()
+    for tree in (False, True):
+        graphs_module._class_law(7, tree)
+    graphs_module._class_law.cache_clear()
+    assert searched == {False: 6412, True: 27}
+    assert attached == {False: 156 * 64, True: 6 * 6}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from graphforge.cli import main as cli_main
 from graphforge.graphs import (
     LIMITS,
+    Graph,
     complete_bipartite,
     complete_graph,
     empty_graph,
@@ -27,6 +28,7 @@ from graphforge.machines import (
     NO_MEMORY_RULES,
     Action,
     InvalidActionForModel,
+    LabeledGraph,
     ModifyUnsupported,
     canonical_rule,
     fading_memory,
@@ -208,6 +210,14 @@ def test_modifiable_choice_validation() -> None:
         interpret_modifiable(parse_rule("0>1,1>-"), "0010", "ss")
     with pytest.raises(ValueError):
         interpret_modifiable(parse_rule("0>1,1>-"), "0010", "ssxq")
+
+
+def test_labeled_graph_checks_its_labels() -> None:
+    g = Graph(3, frozenset({(1, 2)}))
+    assert LabeledGraph(g, (0, 1, 1)).labels == (0, 1, 1)
+    for labels in ((0, 1), (0, 1, 1, 0), (0, 2, 1), (0, -1, 1)):
+        with pytest.raises(ValueError):
+            LabeledGraph(g, labels)
 
 
 def test_interpret_rejects_bad_strings() -> None:

@@ -25,7 +25,10 @@ from graphforge.machines import (
     MODIFIABLE,
     NO_MEMORY,
     NO_MEMORY_RULES,
+    ConstructionTrace,
     InvalidActionForModel,
+    LabeledGraph,
+    StepRecord,
     fading_memory,
     interpret,
     interpret_modifiable,
@@ -210,6 +213,28 @@ def test_shared_prefix_walk_matches_replay() -> None:
         for rule in rules:
             for n in range(max_n + 1):
                 assert list(machines._runs(rule, model, n)) == list(_runs_by_replay(rule, model, n))
+
+
+def _public_rebuild(trace):
+    """The trace rebuilt field by field through the public constructors,
+    which check what they are given."""
+    steps = tuple(StepRecord(r.step, r.bit, r.action, r.modified, r.edges_added) for r in trace.steps)
+    g = trace.final.graph
+    final = LabeledGraph(Graph(g.n, g.edges), trace.final.labels)
+    return ConstructionTrace(trace.rule, trace.model, trace.x, trace.choices, steps, final)
+
+
+def test_walk_traces_equal_their_public_rebuilds() -> None:
+    """The walk builds its steps, traces and graphs without re-checking
+    them; every one equals, and hashes like, its checked rebuild."""
+    for model, rules, max_n in _WALK_CASES:
+        for rule in rules:
+            for n in range(max_n + 1):
+                for trace in machines._runs(rule, model, n):
+                    rebuilt = _public_rebuild(trace)
+                    assert trace == rebuilt and hash(trace) == hash(rebuilt), (rule.mnemonic, trace.x)
+                    per_step = trace.graphs_per_step()
+                    assert [hash(g) for g in per_step] == [hash(Graph(g.n, g.edges)) for g in per_step]
 
 
 def test_walk_steps_every_prefix_once(monkeypatch) -> None:
