@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
-    law_n, extremes_n = LIMITS["class_law_n"], LIMITS["extremes_n"]
+    law_n = LIMITS["class_law_n"]
     p_like = sub.add_parser(
         "likelihood",
         help="exact, Monte-Carlo, or extremal likelihood under the uniform vertex-addition process",
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_like.add_argument("--exact", action="store_true", help=f"exact rational likelihood (n <= {law_n})")
     p_like.add_argument("--mc", type=int, metavar="SAMPLES", help="Monte-Carlo estimate")
     p_like.add_argument("--bounds", action="store_true", help="automorphism-count bounds")
-    p_like.add_argument("--extremes", type=int, metavar="N", help=f"full class table at size N (N <= {extremes_n})")
+    p_like.add_argument("--extremes", type=int, metavar="N", help=f"full class table at size N (N <= {law_n})")
     p_like.add_argument("--seed", type=int, help="RNG seed (required with --mc)")
     p_like.add_argument("--format", choices=("csv", "json"))
     _add_out(p_like)

@@ -3,8 +3,8 @@
 Graphs are simple, undirected, and immutable.  Vertices are the integers
 1..n in construction order; an edge is a pair (i, j) with i < j.  Everything
 here is sized for exhaustive desk-scale verification (n up to about 12), not
-for large instances: isomorphism and automorphism counting are backtracking
-searches, and the canonical form is an exact partition-refinement search.
+for large instances: isomorphism is a backtracking search, and one exact
+partition-refinement search gives the canonical form and |Aut|.
 
 Adjacency has one index, `Graph.rows`: rows[v] is the neighbour bitmask of
 v (bit u set when u ~ v), rows[0] == 0.  It is built from `edges` on first
@@ -27,18 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 # Every size bound in graphforge, by name: each entry point reads its entry
 # when called, before any work, and formats its error message from it.
 LIMITS = {
-    "exact_n": 12,  # canonical search, isomorphism backtracking, Monte-Carlo draws
-    "automorphism_n": 10,  # automorphism counting visits every automorphism
+    "exact_n": 12,  # canonical search and |Aut|, isomorphism backtracking, Monte-Carlo draws
     "class_law_n": 7,  # the class law pushes every class through 2^(n-1) attach sets
-    "tree_law_n": 7,  # the uniform-attachment class law, one pass per class and vertex
     "copy_set_n": 7,  # a labelled-copy set iterates all n! permutations
     "labelled_trees_n": 7,  # Pruefer enumeration decodes all n^(n-2) codes
-    "extremes_n": 6,  # a full table counts automorphisms of every class
     "enumeration_n": 12,  # 2^n strings per rule, each output certified
     "modifiable_n": 7,  # up to 4^n (string, choice) runs per rule
     "reachability_n": 8,  # every run of three memory models, each output certified
@@ -268,7 +265,7 @@ def _labeled_copy_masks(g: Graph) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and automorphisms (backtracking route)
+# isomorphism (backtracking route)
 # ---------------------------------------------------------------------------
 
 def _signatures(g: Graph) -> dict[int, tuple[int, tuple[int, ...]]]:
@@ -295,19 +292,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     sig_h = _signatures(h)
     if sorted(sig_g.values()) != sorted(sig_h.values()):
         return False
-    return _find_mapping(g, h, sig_g, sig_h, count_all=False) > 0
-
-
-def automorphism_count(g: Graph) -> int:
-    """Number of adjacency-preserving permutations of 1..n."""
-    _check_limit("automorphism_n", g.n, "automorphism counting supported for n <= {limit}")
-    if g.n == 0:
-        return 1
-    sig = _signatures(g)
-    return _find_mapping(g, g, sig, sig, count_all=True)
-
-
-def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
     n = g.n
     rows_g = g.rows
     rows_h = h.rows
@@ -317,24 +301,19 @@ def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
     candidates = {v: [u for u in range(1, n + 1) if sig_h[u] == sig_g[v]] for v in order}
     image = {}
     used = set()
-    found = 0
 
     def extend(k: int) -> bool:
-        nonlocal found
         if k == n:
-            found += 1
-            return not count_all
+            return True
         v = order[k]
         rv = rows_g[v]
         for u in candidates[v]:
             if u in used:
                 continue
-            ok = True
             for w, fw in image.items():
-                if bool((rv >> w) & 1) != bool((rows_h[u] >> fw) & 1):
-                    ok = False
+                if rv >> w & 1 != rows_h[u] >> fw & 1:
                     break
-            if ok:
+            else:
                 image[v] = u
                 used.add(u)
                 if extend(k + 1):
@@ -343,8 +322,7 @@ def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
                 del image[v]
         return False
 
-    extend(0)
-    return found
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +333,10 @@ def _find_mapping(g: Graph, h: Graph, sig_g, sig_h, count_all: bool) -> int:
 # individualisation-refinement search.  The visited set is closed under
 # isomorphism, so the certificate is equal exactly for isomorphic graphs.
 # Leaves are compared as C(n,2)-bit numbers, which order like the strings.
-
-# The cache key packs the rows into one int, n bits per row.
-_CANON_CACHE: dict[tuple[int, int], bytes] = {}
+# The leaves equal to the best leaf are its images under Aut, one per
+# automorphism, all visited as the search prunes nothing by symmetry.  A twin
+# step stands for all |W|! orderings of its cell W, so |Aut| counts those
+# leaves, each weighted by the product of |W|! over its path's twin cells.
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -365,13 +344,21 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n <= 1:
         return f"{n}:".encode()
-    key = (n, sum(r << (v * n) for v, r in enumerate(g.rows)))
-    cached = _CANON_CACHE.get(key)
-    if cached is not None:
-        return cached
-    cert = f"{n}:{_canon_search(n, g.rows)}".encode()
-    _CANON_CACHE[key] = cert
-    return cert
+    return _certify(n, g.rows)[0]
+
+
+def automorphism_count(g: Graph) -> int:
+    """Number of adjacency-preserving permutations of 1..n."""
+    _check_limit("exact_n", g.n, "automorphism counting supported for n <= {limit}")
+    return _certify(g.n, g.rows)[1] if g.n > 1 else 1
+
+
+@lru_cache(maxsize=1 << 14)
+def _certify(n: int, rows: tuple[int, ...]) -> tuple[bytes, int]:
+    """(certificate, |Aut|) of the graph with these rows, n >= 2, kept for
+    2^14 graphs (about 13 MB at n = 12); the class law does not use it."""
+    leaf, aut = _canon_search(n, rows)
+    return f"{n}:{leaf}".encode(), aut
 
 
 def _refine(
@@ -440,11 +427,13 @@ def _twin_classes(rows: tuple[int, ...], n: int) -> list[list[int]]:
     return classes
 
 
-def _canon_search(n: int, rows: tuple[int, ...]) -> str:
+def _canon_search(n: int, rows: tuple[int, ...]) -> tuple[str, int]:
+    """The best leaf as a C(n,2)-bit string, and |Aut|."""
     best = 1 << comb(n, 2)  # above every C(n,2)-bit leaf
+    count = 0
 
-    def search(cells: list[tuple[int, ...]], quiet: frozenset) -> None:
-        nonlocal best
+    def search(cells: list[tuple[int, ...]], quiet: frozenset, weight: int) -> None:
+        nonlocal best, count
         cells = _refine(rows, cells, quiet)
         idx = 0
         while idx < len(cells):
@@ -457,6 +446,7 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
                 # order and the partition stays equitable.
                 cells = cells[:idx] + [(v,) for v in cell] + cells[idx + 1 :]
                 idx += len(cell)
+                weight *= factorial(len(cell))
             else:
                 break
         else:
@@ -466,27 +456,27 @@ def _canon_search(n: int, rows: tuple[int, ...]) -> str:
                 rv = rows[v]
                 for u in order[p + 1 :]:
                     leaf = leaf << 1 | (rv >> u & 1)
-            best = min(best, leaf)
+            if leaf < best:
+                best, count = leaf, weight
+            elif leaf == best:
+                count += weight
             return
         # an equitable partition's cells split nothing in any child
         quiet = frozenset(cells)
         for v in cell:
             rest = tuple(u for u in cell if u != v)
-            search(cells[:idx] + [(v,), rest] + cells[idx + 1 :], quiet)
+            search(cells[:idx] + [(v,), rest] + cells[idx + 1 :], quiet, weight)
 
-    search([tuple(range(1, n + 1))], frozenset())
-    return format(best, f"0{comb(n, 2)}b")
+    search([tuple(range(1, n + 1))], frozenset(), 1)
+    return format(best, f"0{comb(n, 2)}b"), count
 
 
-def _attach_sets(classes: list[list[int]], tree: bool) -> list[tuple[int, int]]:
+def _attach_sets(classes: list[list[int]]) -> list[tuple[int, int]]:
     """(attach mask, multiplicity) pairs, ascending by mask: one attach set
-    per count of vertices taken from each twin class (exactly one vertex in
-    all under uniform attachment), made of each class's smallest vertices.
-    Vertex v is bit v - 1; the multiplicity is the number of attach sets
-    with the same counts, each giving an isomorphic child, and the set
-    made of smallest vertices has the least mask among them."""
-    if tree:
-        return [(1 << (c[0] - 1), len(c)) for c in classes]
+    per count of vertices taken from each twin class, made of each class's
+    smallest vertices. Vertex v is bit v - 1; the multiplicity is the number
+    of attach sets with the same counts, each giving an isomorphic child,
+    and the set made of smallest vertices has the least mask among them."""
     sets = [(0, 1)]
     for c in classes:
         takes = [(0, 1)]
@@ -497,13 +487,11 @@ def _attach_sets(classes: list[list[int]], tree: bool) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _class_law(n: int, tree: bool = False) -> dict[bytes, tuple[Graph, Fraction]]:
-    """The law of the uniform vertex-addition process on n vertices, or of
-    uniform attachment when `tree` is set: certificate -> (first
-    representative found, exact probability).  Both processes treat every
+def _class_law(n: int) -> dict[bytes, tuple[Graph, Fraction]]:
+    """The uniform vertex-addition law on n vertices: certificate -> (first
+    representative found, exact probability).  The process treats every
     labelling alike, so the law at n is the law at n - 1 pushed through each
-    attach set of vertex n: a k-set has probability 1/(n * C(n-1, k)), and
-    under uniform attachment only k = 1 occurs, with probability 1/(n-1).
+    attach set of vertex n, a k-set with probability 1/(n * C(n-1, k)).
     Attach sets that differ by swapping twins of the parent give isomorphic
     children of equal mass, so one set per twin-class count is searched,
     weighted by how many sets it stands for.  It is the least mask among
@@ -514,14 +502,13 @@ def _class_law(n: int, tree: bool = False) -> dict[bytes, tuple[Graph, Fraction]
         g = empty_graph(n)
         return {canonical_form(g): (g, Fraction(1))}
     law: dict[bytes, tuple[Graph, Fraction]] = {}
-    for g, p in _class_law(n - 1, tree).values():
-        for attach_mask, copies in _attach_sets(_twin_classes(g.rows, n - 1), tree):
+    for g, p in _class_law(n - 1).values():
+        for attach_mask, copies in _attach_sets(_twin_classes(g.rows, n - 1)):
             attach = attach_mask << 1
             rows = tuple(r | (attach >> v & 1) << n for v, r in enumerate(g.rows)) + (attach,)
-            key = f"{n}:{_canon_search(n, rows)}".encode()
+            key = f"{n}:{_canon_search(n, rows)[0]}".encode()
             rep, q = law.get(key) or (add_vertex(g, _vertices(attach)), 0)
-            k = attach_mask.bit_count()
-            law[key] = (rep, q + p * copies / (n - 1 if tree else n * comb(n - 1, k)))
+            law[key] = (rep, q + p * copies / (n * comb(n - 1, attach_mask.bit_count())))
     return law
 
 

@@ -357,8 +357,8 @@ class LikelihoodTable:
 
 def likelihood_extremes(n: int) -> LikelihoodTable:
     """Exact likelihood of every isomorphism class on n vertices, n up to
-    LIMITS["extremes_n"], one row per class, sorted by canonical certificate."""
-    _check_limit("extremes_n", n, "extremes computed for 1 <= n <= {limit}", low=1)
+    LIMITS["class_law_n"], one row per class, sorted by canonical certificate."""
+    _check_limit("class_law_n", n, "extremes computed for 1 <= n <= {limit}", low=1)
     rows = []
     for cert, (g, likelihood) in _class_law(n).items():
         lo, up = likelihood_bounds(g)

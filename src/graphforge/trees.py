@@ -5,7 +5,7 @@ picks its single neighbour uniformly among 1..t-1.  Every tree it can emit
 is a recursive tree (labels increase along every path from the root, vertex
 1), and every recursive tree occurs with probability 1/(n-1)!, so the
 likelihood of a tree shape is the number of its recursive labellings over
-(n-1)!.
+(n-1)!, which has a closed form (`ua_likelihood_exact`).
 
 The same parent-per-vertex data doubles as a deterministic instruction
 stream: the parent of vertex t fits in b(t-1) = floor(log2(t-1)) + 1 bits,
@@ -24,15 +24,15 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 
 from .graphs import (
     Graph,
-    canonical_form,
+    automorphism_count,
     enumerate_graph_classes,
     is_tree,
     _check_edge_cap,
     _check_limit,
-    _class_law,
 )
 from .machines import ResourceCost
 from .randomness import _count_copies, _ua_masks
@@ -97,7 +97,17 @@ def root_path(g: Graph, v: int) -> tuple[int, ...]:
     """The unique path from vertex 1 to v in a tree, endpoints included."""
     if not is_tree(g):
         raise ValueError("root paths are defined for trees only")
-    parent = {1: 0}  # each vertex's neighbour toward vertex 1, found by search
+    parent = _toward_root(g)
+    path = [v]
+    while path[-1] != 1:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def _toward_root(g: Graph) -> dict[int, int]:
+    """Each vertex's neighbour toward vertex 1 in the tree g (0 for vertex 1),
+    keyed in the order the search finds them, each vertex after its parent."""
+    parent = {1: 0}
     queue = [1]
     while queue:
         u = queue.pop()
@@ -105,10 +115,7 @@ def root_path(g: Graph, v: int) -> tuple[int, ...]:
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
-    path = [v]
-    while path[-1] != 1:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    return parent
 
 
 def leaves(g: Graph) -> tuple[int, ...]:
@@ -173,13 +180,24 @@ def prufer_decode(code) -> Graph:
 
 def ua_likelihood_exact(t_graph: Graph) -> Fraction:
     """Probability that uniform attachment on n vertices produces a tree
-    isomorphic to t_graph (its recursive labellings over (n-1)!), read from
-    the exact class law of the process."""
+    isomorphic to t_graph: its recursive labellings over (n-1)!.  Rooted at
+    r, it has R(r) = n!/prod_v |T_v| increasing labellings (hook lengths,
+    T_v the subtree below v); moving the root from p to its child c
+    multiplies R by |T_c|/(n - |T_c|).  Each recursive labelled copy is
+    |Aut| of these labellings, so P = sum_r R(r) / (|Aut| (n-1)!)."""
     if not is_tree(t_graph):
         raise ValueError("likelihood under uniform attachment needs a tree")
     n = t_graph.n
-    _check_limit("tree_law_n", n, "exact tree likelihood supported for n <= {limit}")
-    return _class_law(n, tree=True)[canonical_form(t_graph)][1]
+    _check_limit("exact_n", n, "exact tree likelihood supported for n <= {limit}")
+    parent = _toward_root(t_graph)
+    size = dict.fromkeys(parent, 1)  # |T_v| with the tree rooted at vertex 1
+    below_root = list(parent)[1:]
+    for v in reversed(below_root):
+        size[parent[v]] += size[v]
+    rooted = {1: factorial(n) // prod(size.values())}
+    for v in below_root:
+        rooted[v] = rooted[parent[v]] * size[v] // (n - size[v])
+    return Fraction(sum(rooted.values()), automorphism_count(t_graph) * factorial(n - 1))
 
 
 def tree_positivity_check(t_graph: Graph, samples: int, seed: int) -> tuple[int, float]:

@@ -130,6 +130,15 @@ def test_likelihood_extremes_csv() -> None:
     assert lines[-1].endswith("true")
 
 
+def test_likelihood_sizes_at_the_exact_bounds(capsys) -> None:
+    assert main(["likelihood", "--extremes", "7"]) == 0
+    assert capsys.readouterr().out.count("\n7:") == 1044
+    assert main(["likelihood", "--extremes", "8"]) == 2
+    assert capsys.readouterr().err == "error: extremes computed for 1 <= n <= 7\n"
+    assert main(["likelihood", "--bounds", "--graph", "K12"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "upper 1/479001600"
+
+
 def test_likelihood_mc_requires_seed() -> None:
     r = run_cli("likelihood", "--graph", "K3", "--mc", "1000")
     assert r.returncode == 2

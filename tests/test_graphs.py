@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +47,7 @@ from graphforge.graphs import (
 )
 from graphforge import graphs as graphs_module
 from graphforge.machines import NO_MEMORY, interpret, parse_rule
-from graphforge.trees import sample_ua
+from graphforge.trees import sample_ua, ua_likelihood_exact
 
 # Isomorphism-class counts for simple graphs on n = 1..6 vertices.
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -120,12 +120,70 @@ def test_automorphism_counts() -> None:
     assert automorphism_count(complete_bipartite(3, 3)) == 72
 
 
-def test_canonical_form_shape(monkeypatch) -> None:
+def _automorphism_count_reference(g: Graph) -> int:
+    """Count automorphisms by backtracking: assign vertices in order, each
+    to an unused vertex of the same degree that keeps every adjacency to
+    the vertices assigned so far, and count the complete assignments."""
+    rows = g.rows
+    image: dict[int, int] = {}
+
+    def extend(v: int) -> int:
+        if v > g.n:
+            return 1
+        found = 0
+        for u in range(1, g.n + 1):
+            if u in image.values() or rows[u].bit_count() != rows[v].bit_count():
+                continue
+            if all((rows[v] >> w & 1) == (rows[u] >> fw & 1) for w, fw in image.items()):
+                image[v] = u
+                found += extend(v + 1)
+                del image[v]
+        return found
+
+    return extend(1)
+
+
+def test_automorphism_count_matches_the_backtracking_reference() -> None:
+    """Every class on up to 7 vertices, and 300 seeded graphs on 8 to 10."""
+    graphs = [g for n in range(8) for g in enumerate_graph_classes(n)]
+    rng = random.Random(17)
+    graphs += [_mask_graph(n, rng.getrandbits(comb(n, 2))) for n in (8, 9, 10) for _ in range(100)]
+    for g in graphs:
+        assert automorphism_count(g) == _automorphism_count_reference(g), g
+
+
+def _petersen() -> Graph:
+    """The 2-subsets of 1..5, adjacent when disjoint."""
+    pairs = list(combinations(range(1, 6), 2))
+    return Graph.from_pairs(10, ((a + 1, b + 1) for a, b in combinations(range(10), 2)
+                                 if not set(pairs[a]) & set(pairs[b])))
+
+
+def test_automorphism_count_closed_forms_up_to_the_exact_bound() -> None:
+    for n in range(1, 13):
+        assert automorphism_count(complete_graph(n)) == factorial(n)
+        assert automorphism_count(empty_graph(n)) == factorial(n)
+        assert automorphism_count(path_graph(n)) == (2 if n > 1 else 1)
+        if n >= 3:
+            assert automorphism_count(cycle_graph(n)) == 2 * n
+        for a in range(1, n // 2 + 1):
+            want = factorial(a) * factorial(n - a) * (2 if 2 * a == n else 1)
+            assert automorphism_count(complete_bipartite(a, n - a)) == want
+    # vertex-transitive graphs, on which refinement alone splits nothing
+    cube = Graph.from_pairs(8, ((u + 1, (u ^ b) + 1) for u in range(8) for b in (1, 2, 4)))
+    cocktail_party = Graph.from_pairs(12, ((u, v) for u, v in combinations(range(1, 13), 2)
+                                           if (u - 1) // 2 != (v - 1) // 2))
+    assert automorphism_count(_petersen()) == 120
+    assert automorphism_count(cube) == 48
+    assert automorphism_count(cocktail_party) == 2**6 * factorial(6)
+
+
+def test_canonical_form_shape() -> None:
     cert = canonical_form(cycle_graph(5))
     assert cert == b"5:0011101100"
     assert canonical_form(empty_graph(3)) == b"3:000"
     # empty and complete graphs go through the search like any other graph
-    monkeypatch.setattr(graphs_module, "_CANON_CACHE", {})
+    graphs_module._certify.cache_clear()
     for n in range(13):
         assert canonical_form(empty_graph(n)) == f"{n}:{'0' * comb(n, 2)}".encode()
         assert canonical_form(complete_graph(n)) == f"{n}:{'1' * comb(n, 2)}".encode()
@@ -175,19 +233,40 @@ def _class_law_reference(n: int, tree: bool = False) -> dict:
 
 
 def test_class_law_matches_the_reference() -> None:
-    """Same certificates, masses, first representatives and order."""
-    for tree, top in ((False, 7), (True, 9)):
-        for n in range(top + 1):
-            law = graphs_module._class_law(n, tree)
-            assert list(law.items()) == list(_class_law_reference(n, tree).items()), (n, tree)
+    """Same certificates, masses, first representatives and order; and
+    the tree closed form gives every uniform-attachment class its mass."""
+    for n in range(8):
+        law = graphs_module._class_law(n)
+        assert list(law.items()) == list(_class_law_reference(n).items()), n
+    for n in range(1, 13):
+        law = _class_law_reference(n, tree=True)
+        for tree, p in law.values():
+            assert ua_likelihood_exact(tree) == p, tree
+    assert len(law) == 551
 
 
-def test_class_law_leaves_the_certificate_cache_empty(monkeypatch) -> None:
-    monkeypatch.setattr(graphs_module, "_CANON_CACHE", {})
+def test_class_law_leaves_the_certificate_cache_empty() -> None:
+    graphs_module._certify.cache_clear()
     graphs_module._class_law.cache_clear()
     graphs_module._class_law(7)
-    graphs_module._class_law(7, tree=True)
-    assert graphs_module._CANON_CACHE == {}
+    assert graphs_module._certify.cache_info().currsize == 0
+
+
+def test_the_certificate_cache_is_bounded() -> None:
+    """One more distinct graph than the cache holds evicts the oldest,
+    which certifies to the same bytes when asked again."""
+    certify = graphs_module._certify
+    certify.cache_clear()
+    limit = certify.cache_info().maxsize
+    first = _mask_graph(6, 0)
+    want = canonical_form(first)
+    for mask in range(1, limit + 1):
+        canonical_form(_mask_graph(6, mask))
+    assert certify.cache_info().currsize == limit
+    misses = certify.cache_info().misses
+    assert canonical_form(first) == want
+    assert certify.cache_info().misses == misses + 1
+    assert certify.cache_info().currsize == limit
 
 
 def test_contains_induced() -> None:
@@ -554,7 +633,7 @@ def test_quiet_splitters_keep_every_partition(monkeypatch) -> None:
         want: list = []
         cert = _canon_search_reference(g.n, g.rows, _refine_reference, want)
         got.clear()
-        assert graphs_module._canon_search(g.n, g.rows) == cert
+        assert graphs_module._canon_search(g.n, g.rows)[0] == cert
         assert all(refined == cells for cells, refined, by_twin in want if by_twin)
         assert got == [refined for _, refined, by_twin in want if not by_twin]
 
@@ -588,7 +667,7 @@ def test_twin_steps_keep_the_certificate() -> None:
         graphs += [f(l, n - l) for n in range(2, 13) for l in range(n + 1)]
     for g in graphs:
         want = _canon_search_reference(g.n, g.rows, _refine_reference, [])
-        assert graphs_module._canon_search(g.n, g.rows) == want, g
+        assert graphs_module._canon_search(g.n, g.rows)[0] == want, g
 
 
 def test_twin_classes_are_the_transpositions_that_fix_the_graph() -> None:
@@ -608,28 +687,27 @@ def test_twin_classes_are_the_transpositions_that_fix_the_graph() -> None:
 
 def test_class_law_searches_one_attach_set_per_twin_count(monkeypatch) -> None:
     """At n = 7 the law searches 6,412 of the 9,984 children of the n = 6
-    classes, and 27 of 36 under uniform attachment; the multiplicities add
-    up to every attach set."""
-    searched = {False: 0, True: 0}
-    attached = {False: 0, True: 0}
+    classes; the multiplicities add up to every attach set."""
+    searched = attached = 0
     search = graphs_module._canon_search
     attach_sets = graphs_module._attach_sets
 
     def counted_search(n, rows):
-        searched[tree] += n == 7
+        nonlocal searched
+        searched += n == 7
         return search(n, rows)
 
-    def counted_sets(classes, tree):
-        sets = attach_sets(classes, tree)
+    def counted_sets(classes):
+        nonlocal attached
+        sets = attach_sets(classes)
         if sum(map(len, classes)) == 6:
-            attached[tree] += sum(copies for _, copies in sets)
+            attached += sum(copies for _, copies in sets)
         return sets
 
     monkeypatch.setattr(graphs_module, "_canon_search", counted_search)
     monkeypatch.setattr(graphs_module, "_attach_sets", counted_sets)
     graphs_module._class_law.cache_clear()
-    for tree in (False, True):
-        graphs_module._class_law(7, tree)
+    graphs_module._class_law(7)
     graphs_module._class_law.cache_clear()
-    assert searched == {False: 6412, True: 27}
-    assert attached == {False: 156 * 64, True: 6 * 6}
+    assert searched == 6412
+    assert attached == 156 * 64

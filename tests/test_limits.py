@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 from itertools import count
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -80,22 +82,22 @@ CASES = [
      "Monte-Carlo likelihood supported for 1 <= n <= 12, got 13", True),
     ("exact_n", "3", lambda s: tree_positivity_check(path_graph(s), 1, 0),
      "positivity check supported for n <= 12, got 13", True),
-    ("automorphism_n", "4", lambda s: graphs.automorphism_count(path_graph(s)),
-     "automorphism counting supported for n <= 10", True),
+    ("exact_n", "4", lambda s: graphs.automorphism_count(path_graph(s)),
+     "automorphism counting supported for n <= 12", True),
     ("class_law_n", "5", lambda s: likelihood_exact(path_graph(s)),
      "labelled-copy enumeration supported for n <= 7", True),
     ("class_law_n", "6", enumerate_graph_classes,
      "class enumeration supported for 0 <= n <= 7", True),
     ("class_law_n", "7", enumerate_tree_classes,
      "labelled-tree enumeration supported for 1 <= n <= 7", True),
-    ("tree_law_n", "8", lambda s: ua_likelihood_exact(path_graph(s)),
-     "exact tree likelihood supported for n <= 7", True),
+    ("exact_n", "8", lambda s: ua_likelihood_exact(path_graph(s)),
+     "exact tree likelihood supported for n <= 12", True),
     ("copy_set_n", "9", lambda s: distinct_labeled_copies(path_graph(s)),
      "labelled-copy enumeration supported for n <= 7", True),
     ("labelled_trees_n", "10", enumerate_labeled_trees,
      "labelled-tree enumeration supported for 1 <= n <= 7", True),
-    ("extremes_n", "11", likelihood_extremes,
-     "extremes computed for 1 <= n <= 6", True),
+    ("class_law_n", "11", likelihood_extremes,
+     "extremes computed for 1 <= n <= 7", True),
     ("enumeration_n", "12", lambda s: enumerate_outputs(RULE, FULL_MEMORY, s),
      "output enumeration bounds: n <= 12, modifiable n <= 7", False),
     ("enumeration_n", "13", lambda s: reachable_classes(FULL_MEMORY, s),
@@ -227,8 +229,20 @@ def test_cli_help_reads_the_table(monkeypatch) -> None:
         return " ".join(out.getvalue().split())
 
     text = likelihood_help()
-    assert text.count("(n <= 7)") == 2 and "(N <= 6)" in text
+    assert text.count("(n <= 7)") == 2 and "(N <= 7)" in text
     monkeypatch.setitem(LIMITS, "class_law_n", 6)
-    monkeypatch.setitem(LIMITS, "extremes_n", 5)
     text = likelihood_help()
-    assert text.count("(n <= 6)") == 2 and "(N <= 5)" in text
+    assert text.count("(n <= 6)") == 2 and "(N <= 6)" in text
+
+
+def test_readme_lists_every_entry_with_its_value() -> None:
+    """README's limits bullet names exactly the LIMITS entries, each with
+    its value (written as a number, with thousands commas, or as 2^k)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("* Every size bound is one entry of `graphs.LIMITS`")
+    bullet = readme[start : readme.index("\n* ", start + 1)]
+    listed = {}
+    for name, value in re.findall(r"`(\w+)` (2\^\d+|\d[\d,]*)", bullet):
+        base, _, power = value.partition("^")
+        listed[name] = int(base) ** int(power) if power else int(value.replace(",", ""))
+    assert listed == LIMITS

@@ -406,6 +406,20 @@ def test_extremes_balanced_bipartite_flag() -> None:
     assert likelihood_extremes(6).argmin_is_balanced_bipartite()
 
 
+def test_extremes_at_seven_vertices() -> None:
+    """K_{3,4} and K_3 + K_4 share the least likelihood, each with 144
+    automorphisms."""
+    table = likelihood_extremes(7)
+    assert len(table.rows) == 1044
+    assert table.total() == 1
+    ties = table.argmin_classes
+    assert [row.certificate for row in ties] == ["7:000111001110111111000", "7:110000100000000111111"]
+    assert all(row.likelihood == Fraction(319, 54432000) and row.aut == 144 for row in ties)
+    assert is_isomorphic(ties[0].graph, complete_bipartite(3, 4))
+    assert is_isomorphic(ties[1].graph, disjoint_union(complete_graph(3), complete_graph(4)))
+    assert table.argmin_is_balanced_bipartite()
+
+
 def test_extremes_serialization() -> None:
     table = likelihood_extremes(4)
     lines = table.to_csv().strip().splitlines()

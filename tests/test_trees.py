@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphforge import randomness
+from graphforge import randomness, trees
 from graphforge.graphs import (
     LIMITS,
     Graph,
@@ -171,6 +171,24 @@ def test_ua_likelihood_total_mass_and_positivity() -> None:
         total = sum(ua_likelihood_exact(t) for t in enumerate_tree_classes(n))
         assert total == 1, n
     assert all(ua_likelihood_exact(t) > 0 for t in enumerate_tree_classes(7))
+
+
+def test_ua_likelihood_closed_forms_up_to_the_exact_bound(monkeypatch) -> None:
+    """P(P_n) = 2^(n-2)/(n-1)! and P(K_{1,n-1}) = 2/(n-1)!; n = 13 is refused
+    before any tree walk or automorphism count."""
+    for n in range(3, 13):
+        star = build_tree_from_instructions(ParentVector(n, (1,) * (n - 1)))
+        assert ua_likelihood_exact(path_graph(n)) == Fraction(2 ** (n - 2), factorial(n - 1)), n
+        assert ua_likelihood_exact(star) == Fraction(2, factorial(n - 1)), n
+
+    def refuse(g):
+        raise AssertionError("a bound check let work start")
+
+    monkeypatch.setattr(trees, "_toward_root", refuse)
+    monkeypatch.setattr(trees, "automorphism_count", refuse)
+    with pytest.raises(ValueError) as exc:
+        ua_likelihood_exact(path_graph(13))
+    assert str(exc.value) == "exact tree likelihood supported for n <= 12"
 
 
 def test_tree_positivity_check_sees_hits() -> None:
