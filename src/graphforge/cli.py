@@ -22,6 +22,7 @@ from fractions import Fraction
 from .graphs import (
     LIMITS,
     Graph,
+    _json_value,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -31,7 +32,6 @@ from .graphs import (
     to_bitstring,
     to_dot,
     to_json,
-    to_json_obj,
 )
 from .machines import interpret, interpret_modifiable, parse_model, parse_rule
 from .randomness import (
@@ -103,8 +103,9 @@ def _sample_text(g: Graph, fmt: str, seed: int, meta: dict) -> str:
     """Serialize a sampled graph; json and dot record the seed, the matrix
     format stays pure bits."""
     if fmt == "json":
-        obj = {"graph": to_json_obj(g), "seed": seed, **meta}
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        obj = {"graph": _json_value(g), "seed": seed, **meta}
+        # a fresh tree, as in graphs.to_json: no circular-reference check
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     if fmt == "dot":
         return f"// seed {seed}\n" + to_dot(g)
     return _graph_text(g, fmt)

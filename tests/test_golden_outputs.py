@@ -12,12 +12,24 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
 from contextlib import redirect_stdout
 
 import pytest
 
 from graphforge.cli import main
 from graphforge.graphs import canonical_form, enumerate_graph_classes, to_json
+
+
+def _bits(seed: int, length: int) -> str:
+    rng = random.Random(seed)
+    return "".join(rng.choice("01") for _ in range(length))
+
+
+# Long instruction strings for the edge-order pins: large enough outputs
+# that the printed edge order, not just the edge set, is exercised.
+DENSE_X = _bits(1, 300)
+FADING_X = _bits(2, 2000)
 
 CASES: dict[str, tuple[str, ...]] = {
     **{
@@ -51,12 +63,21 @@ CASES: dict[str, tuple[str, ...]] = {
         "build", "--rule", "0>1,1>-", "--model", "modifiable",
         "--x", "00010", "--choices", "ssssm", "--trace",
     ),
+    **{
+        f"build-full-{fmt}": ("build", "--rule", "0>1,1>0", "--model", "full", "--x", DENSE_X, "--format", fmt)
+        for fmt in ("json", "dot")
+    },
+    "build-fading-json": ("build", "--rule", "0>1,1>0", "--model", "fading(2)", "--x", FADING_X),
+    "random-va-200-dot": ("random", "va", "--n", "200", "--seed", "11", "--format", "dot"),
     "likelihood-mc-C5": ("likelihood", "--graph", "C5", "--mc", "20000", "--seed", "3"),
     "cost-a-400": ("cost", "a", "--n", "400"),
 }
 
 GOLDEN: dict[str, str] = {
+    "build-fading-json": "18ab58dcb9be98a1a72813f7a4e3db3cbdc786a5eaf20e4ecc68970f49cec5bb",
     "build-fading-trace": "04d322d7296b534b11a32ecdf4d1c0204d61cc023f275516cf4031f365dd642e",
+    "build-full-dot": "9778ef54267a310499fe6881f9dc9c9802030366b48acac822bf4dec03cbeef9",
+    "build-full-json": "49bd3b4aa028768e5621519062839a42b37b917cf60c680003b60b0d8b2c26a6",
     "build-full-trace": "9963e999bfdff5060e57914592c8af8790a101100e97e99f026c6c2cd57904ce",
     "build-modifiable-trace": "1e284feca04e0f566ab4bf046c66731e8754130da77856b9dce649c150ddc5e3",
     "cost-a-400": "834d402351421e418fe16929ebe70ec4291dc125bbeba5a6e8b431fd0c41c159",
@@ -69,6 +90,7 @@ GOLDEN: dict[str, str] = {
     "likelihood-mc-C5": "37d6387c4b2ed6cd23f733abcc0e313505bf6a53b67c40d6292eb37af98704a7",
     "random-gnp-json": "54910a048186df235884b0274ead20416a0e7aec4c6befdb4413340cdf62f6bf",
     "random-gnp-matrix": "734fd4d1109887728a64952da5eaa220a62028e6af8125e8207708ab39b42366",
+    "random-va-200-dot": "d9b514a4a65c88e86282a1ffbd29b3aacdda3b0050e4fe968eb0b74137e1dc9c",
     "random-va-json": "65bf8b0a491d091afc099ff8dc9286d5a09c5201a9893d3673875de2830433ce",
     "random-va-matrix": "f618ebb151205adac7ba9b7f941bc7c209a214ed5a276b1019167d6569cbcd09",
     "tree-1000-json": "3a06a31486eb0d11ffa808daa37fc3e2a96c382980ddd4b78ec1bcf6d58900c4",

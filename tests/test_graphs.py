@@ -42,11 +42,13 @@ from graphforge.graphs import (
     to_bitstring,
     to_dot,
     to_json,
+    to_json_obj,
     _copy_levels,
     _labeled_copy_masks,
 )
 from graphforge import graphs as graphs_module
-from graphforge.machines import NO_MEMORY, interpret, parse_rule
+from graphforge.machines import NO_MEMORY, interpret, parse_model, parse_rule
+from graphforge.randomness import sample_gnp
 from graphforge.trees import sample_ua, ua_likelihood_exact
 
 # Isomorphism-class counts for simple graphs on n = 1..6 vertices.
@@ -434,6 +436,34 @@ def test_json_round_trip() -> None:
     assert from_json(to_json(g)) == g
     obj = json.loads(to_json(g))
     assert obj["n"] == 5 and len(obj["edges"]) == 5
+
+
+def _edge_order_cases():
+    """E_0, E_n, K_n, every labelled graph on n <= 4 vertices, 200 seeded
+    G(n, p) with n <= 300 and p <= 1/4, and an 8,000-vertex fading(2) forest."""
+    yield empty_graph(0)
+    yield empty_graph(50)
+    yield complete_graph(60)
+    for n in range(5):
+        dyads = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(dyads)):
+            yield Graph(n, frozenset(d for k, d in enumerate(dyads) if mask >> k & 1))
+    rng = random.Random(18)
+    for seed in range(200):
+        yield sample_gnp(rng.randint(0, 300), Fraction(rng.randint(0, 8), 32), seed)
+    x = "".join(rng.choice("01") for _ in range(8000))
+    yield interpret(parse_rule("0>1,1>0"), parse_model("fading(2)"), x).final.graph
+
+
+def test_edge_order_and_json_match_the_tuple_sort() -> None:
+    """sorted_edges sorts by two int keys and to_json prints edge tuples;
+    both must give what sorting the tuples and printing lists gives."""
+    for g in _edge_order_cases():
+        assert g.sorted_edges() == sorted(g.edges)
+        assert to_json(g) == json.dumps(to_json_obj(g), sort_keys=True, separators=(",", ":"))
+    obj = to_json_obj(path_graph(3))
+    assert obj == {"n": 3, "edges": [[1, 2], [2, 3]]}
+    assert all(type(e) is list for e in obj["edges"])
 
 
 def test_dot_output_mentions_every_edge() -> None:
