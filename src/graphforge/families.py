@@ -191,7 +191,7 @@ def fading_path_sizes(rule: RuleSet, x: str) -> RunStatistics | None:
     table = {
         "0>-,1>-": lambda: (),
         "0>0,1>-": lambda: runs_of_zeros(x),
-        "0>1,1>-": lambda: (2,) * _count_overlapping(x, "10"),
+        "0>1,1>-": lambda: (2,) * x.count("10"),
         "0>1,1>0": lambda: alternating_runs(x),
         "0>0,1>0": lambda: zero_anchored_blocks(x),
         "0>0,1>1": lambda: runs_of_zeros(x) + runs_of_ones(x),
@@ -199,13 +199,3 @@ def fading_path_sizes(rule: RuleSet, x: str) -> RunStatistics | None:
     fn = table.get(rule.mnemonic)
     return None if fn is None else tuple(r for r in fn() if r >= 2)
 
-
-def _count_overlapping(x: str, pattern: str) -> int:
-    count = 0
-    start = 0
-    while True:
-        hit = x.find(pattern, start)
-        if hit < 0:
-            return count
-        count += 1
-        start = hit + 1

@@ -533,21 +533,16 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
 # mask, so a prefix of a vertices is dropped as soon as its C(a, 2) bits match
 # the low bits of no table mask.
 
-_PREFIX_LEVELS: dict[tuple[int, bytes], tuple[frozenset[int], ...]] = {}
-
-
+@lru_cache(maxsize=16)
 def _copy_levels(h: Graph) -> tuple[frozenset[int], ...]:
     """levels[a] (a = 0..k) holds the edge masks of h's labelled copies on
-    k = |V(h)| vertices, restricted to vertices 1..a, built once per
-    (k, class) and kept."""
-    k = h.n
-    key = (k, canonical_form(h))
-    levels = _PREFIX_LEVELS.get(key)
-    if levels is None:
-        full = _labeled_copy_masks(h)
-        levels = tuple(frozenset(c & ((1 << comb(a, 2)) - 1) for c in full) for a in range(k + 1))
-        _PREFIX_LEVELS[key] = levels
-    return levels
+    k = |V(h)| vertices, restricted to vertices 1..a, so levels[k] is the
+    copy set.  The one source of labelled copies: the walk below, the
+    Monte-Carlo hit loop and distinct_labeled_copies read it, kept for the
+    16 patterns used last (an asymmetric 7-vertex pattern takes about 1 MB)."""
+    full = _labeled_copy_masks(h)
+    lows = ((1 << comb(a, 2)) - 1 for a in range(h.n + 1))
+    return tuple(frozenset(c & low for c in full) for low in lows)
 
 
 def _induces_mask_in(g: Graph, levels: tuple[frozenset[int], ...]) -> bool:

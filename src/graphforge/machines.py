@@ -135,9 +135,7 @@ FULL_RULES: tuple[RuleSet, ...] = tuple(
     )
 )
 
-NO_MEMORY_RULES: tuple[RuleSet, ...] = tuple(
-    parse_rule(s) for s in ("0>-,1>-", "0>E,1>-", "0>E,1>E")
-)
+NO_MEMORY_RULES: tuple[RuleSet, ...] = tuple(r for r in FULL_RULES if not r.uses_labels())
 
 _FULL_RULE_SET = frozenset(FULL_RULES)
 

@@ -24,6 +24,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 from .graphs import (
@@ -226,26 +227,13 @@ def enumerate_labeled_trees(n: int) -> list[Graph]:
                  low=1)
     if n == 1:
         return [Graph(1, frozenset())]
-    if n == 2:
-        return [Graph(2, frozenset({(1, 2)}))]
-    out = []
-    code = [1] * (n - 2)
-    while True:
-        out.append(prufer_decode(code))
-        k = n - 3
-        while k >= 0 and code[k] == n:
-            code[k] = 1
-            k -= 1
-        if k < 0:
-            return out
-        code[k] += 1
+    return [prufer_decode(code) for code in product(range(1, n + 1), repeat=n - 2)]
 
 
 def enumerate_tree_classes(n: int) -> list[Graph]:
     """One representative per tree isomorphism class on n vertices, sorted by
     canonical certificate: the tree classes among all graph classes."""
-    _check_limit("class_law_n", n, "labelled-tree enumeration supported for 1 <= n <= {limit}",
-                 low=1)
+    _check_limit("class_law_n", n, "tree class enumeration supported for 1 <= n <= {limit}", low=1)
     return [g for g in enumerate_graph_classes(n) if is_tree(g)]
 
 

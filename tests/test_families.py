@@ -187,6 +187,18 @@ def test_fading_path_sizes_none_for_dominate_rules() -> None:
         assert fading_path_sizes(parse_rule(mnemonic), "0101") is None
 
 
+def test_one_zero_matches_never_overlap() -> None:
+    """A "10" at i needs x[i+1] == "0" and one at i+1 needs x[i+1] == "1", so
+    str.count, which counts disjoint matches, counts every match: checked
+    on all strings of length at most 12."""
+    rule = parse_rule("0>1,1>-")
+    for n in range(13):
+        for k in range(1 << n):
+            x = format(k, "b").zfill(n) if n else ""
+            matches = sum(x.startswith("10", i) for i in range(n))
+            assert fading_path_sizes(rule, x) == (2,) * matches, x
+
+
 def test_fading_worked_example_component_shape() -> None:
     g = interpret(parse_rule("0>0,1>0"), fading_memory(2), RUN_EXAMPLE).final.graph
     assert is_isomorphic(g, linear_forest([3, 2, 4, 1, 1]))

@@ -48,8 +48,8 @@ from graphforge.graphs import (
 )
 from graphforge import graphs as graphs_module
 from graphforge.machines import NO_MEMORY, interpret, parse_model, parse_rule
-from graphforge.randomness import sample_gnp
-from graphforge.trees import sample_ua, ua_likelihood_exact
+from graphforge.randomness import distinct_labeled_copies, likelihood_mc, sample_gnp
+from graphforge.trees import sample_ua, tree_positivity_check, ua_likelihood_exact
 
 # Isomorphism-class counts for simple graphs on n = 1..6 vertices.
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -340,21 +340,43 @@ def test_contains_induced_matches_references_on_random_hosts() -> None:
     assert contains_induced(one_edge, empty_graph(5)) and not contains_induced(one_edge, e6)
 
 
-def test_copy_tables_are_kept_once_per_class(monkeypatch) -> None:
-    """Relabelled patterns share one table, keyed by size and certificate."""
-    monkeypatch.setattr(graphs_module, "_PREFIX_LEVELS", {})
-    rng = random.Random(11)
-    host = _mask_graph(9, rng.getrandbits(comb(9, 2)))
-    keys = set()
-    for k in range(1, 7):
-        for _ in range(40):
-            h = _mask_graph(k, rng.getrandbits(comb(k, 2)))
-            contains_induced(host, h)
-            keys.add((k, canonical_form(h)))
-    contains_induced(host, empty_graph(5))
-    contains_induced(host, empty_graph(6))
-    keys |= {(5, canonical_form(empty_graph(5))), (6, canonical_form(empty_graph(6)))}
-    assert set(graphs_module._PREFIX_LEVELS) == keys
+def test_copy_tables_are_built_once_per_pattern(monkeypatch) -> None:
+    """The induced-subgraph walk, the Monte-Carlo hit loop and
+    distinct_labeled_copies read one table per pattern; a relabelled
+    pattern gets a table of its own with the same answers, and the cache
+    keeps at most maxsize tables."""
+    builds = []
+
+    def counted(h: Graph) -> set[int]:
+        builds.append(h)
+        return _labeled_copy_masks(h)
+
+    _copy_levels.cache_clear()
+    monkeypatch.setattr(graphs_module, "_labeled_copy_masks", counted)
+    spider = Graph(6, frozenset({(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)}))
+    relabelled = relabel(spider, {v: 7 - v for v in range(1, 7)})
+    host = add_vertex(spider, [3])
+
+    def answers(h: Graph) -> tuple:
+        return (
+            contains_induced(host, h),
+            [likelihood_mc(h, 300, seed).hits for seed in range(3)],
+            tree_positivity_check(h, 300, 0),
+            distinct_labeled_copies(h),
+        )
+
+    first = answers(spider)
+    assert builds == [spider]
+    assert answers(relabelled) == first and first[0] and first[2][0] > 0
+    assert builds == [spider, relabelled]
+    # E_5 and E_6 have equal copy sets, {0}, at different sizes
+    path = path_graph(9)
+    assert contains_induced(path, empty_graph(5)) and not contains_induced(path, empty_graph(6))
+    assert builds[2:] == [empty_graph(5), empty_graph(6)]
+    maxsize = _copy_levels.cache_info().maxsize
+    for mask in range(maxsize + 4):
+        distinct_labeled_copies(_mask_graph(5, mask))
+    assert _copy_levels.cache_info().currsize == maxsize
 
 
 def test_contains_induced_checks_the_isomorphism_bound() -> None:

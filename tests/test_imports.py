@@ -75,3 +75,49 @@ def test_every_private_name_is_used() -> None:
     ]
     assert len(trees) >= 8
     assert unused == []
+
+
+# Caches that may grow without a maxsize, each with the reason its size is
+# bounded anyway.
+UNBOUNDED_CACHES = {
+    "_threshold_forbidden_levels": "takes no parameters, so it holds one entry",
+    "_class_law": "its n is bounded by LIMITS['class_law_n'] at every public entry",
+}
+
+
+def _maxsize(decorator: ast.expr) -> ast.expr | None:
+    """The maxsize expression of an lru_cache (or cache) decorator, a None
+    constant for an unbounded one; None for any other decorator."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = call.func if call else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "cache" or (name == "lru_cache" and call is None):
+        return ast.Constant(None)
+    if name != "lru_cache":
+        return None
+    sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+    return sizes[0] if sizes else ast.Constant(128)
+
+
+def _constant_int(node: ast.expr) -> int | None:
+    """node's value when it is an int built from constants only."""
+    if not all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+               for n in ast.walk(node)):
+        return None
+    value = eval(compile(ast.Expression(node), "<maxsize>", "eval"), {"__builtins__": {}})
+    return value if type(value) is int else None
+
+
+def test_every_cache_has_an_integer_maxsize() -> None:
+    unbounded = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                size = _maxsize(decorator)
+                if size is not None and _constant_int(size) is None:
+                    unbounded[node.name] = node
+    assert sorted(unbounded) == sorted(UNBOUNDED_CACHES)
+    no_params = unbounded["_threshold_forbidden_levels"].args
+    assert not (no_params.posonlyargs or no_params.args or no_params.kwonlyargs)

@@ -85,11 +85,11 @@ CASES = [
     ("exact_n", "4", lambda s: graphs.automorphism_count(path_graph(s)),
      "automorphism counting supported for n <= 12", True),
     ("class_law_n", "5", lambda s: likelihood_exact(path_graph(s)),
-     "labelled-copy enumeration supported for n <= 7", True),
+     "exact likelihood supported for n <= 7", True),
     ("class_law_n", "6", enumerate_graph_classes,
      "class enumeration supported for 0 <= n <= 7", True),
     ("class_law_n", "7", enumerate_tree_classes,
-     "labelled-tree enumeration supported for 1 <= n <= 7", True),
+     "tree class enumeration supported for 1 <= n <= 7", True),
     ("exact_n", "8", lambda s: ua_likelihood_exact(path_graph(s)),
      "exact tree likelihood supported for n <= 12", True),
     ("copy_set_n", "9", lambda s: distinct_labeled_copies(path_graph(s)),
@@ -216,7 +216,7 @@ def test_copy_set_n_chooses_the_hit_loop_route(monkeypatch) -> None:
     def refuse(g):
         raise AssertionError("targets above copy_set_n are not matched by copy set")
 
-    monkeypatch.setattr(randomness, "_labeled_copy_masks", refuse)
+    monkeypatch.setattr(randomness, "_copy_levels", refuse)
     monkeypatch.setitem(LIMITS, "copy_set_n", 2)
     assert likelihood_mc(target, 300, 5).hits == hits
 

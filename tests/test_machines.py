@@ -83,7 +83,7 @@ def test_model_parsing() -> None:
 
 
 def test_no_memory_accepts_only_label_free_rules() -> None:
-    assert len(NO_MEMORY_RULES) == 3
+    assert [r.mnemonic for r in NO_MEMORY_RULES] == ["0>-,1>-", "0>E,1>-", "0>E,1>E"]
     for rule in NO_MEMORY_RULES:
         interpret(rule, NO_MEMORY, "0101")
     with pytest.raises(InvalidActionForModel):

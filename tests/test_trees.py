@@ -133,6 +133,12 @@ def test_labeled_tree_counts() -> None:
         assert len(enumerate_labeled_trees(n)) == want
 
 
+def test_labeled_trees_come_in_lexicographic_code_order() -> None:
+    for n in range(2, 7):
+        codes = sorted(tuple(k // n**i % n + 1 for i in range(n - 2)) for k in range(n ** (n - 2)))
+        assert enumerate_labeled_trees(n) == [prufer_decode(code) for code in codes]
+
+
 def test_tree_class_counts() -> None:
     for n, want in zip(range(1, 8), TREE_CLASS_COUNTS):
         classes = enumerate_tree_classes(n)
@@ -153,7 +159,7 @@ def test_tree_classes_match_prufer_dedupe() -> None:
 
 def test_tree_classes_reject_sizes_outside_bound() -> None:
     for n in (0, 8):
-        with pytest.raises(ValueError, match=r"labelled-tree enumeration supported for 1 <= n <= 7"):
+        with pytest.raises(ValueError, match=r"tree class enumeration supported for 1 <= n <= 7"):
             enumerate_tree_classes(n)
 
 
