@@ -641,9 +641,30 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def _tree_adjacency(g: Graph) -> list[list[int]] | None:
+    """Each vertex's neighbours (index 0 unused) when g is a tree, else None.
+    A tree has n - 1 edges and a search from vertex 1 reaches every vertex.
+    Built from `edges` alone, so a large sparse tree never builds its rows."""
+    n = g.n
+    if n < 1 or len(g.edges) != n - 1:
+        return None
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {1}
+    stack = [1]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return adj if len(seen) == n else None
+
+
 def is_tree(g: Graph) -> bool:
     """Connected and acyclic (single-vertex graphs count; E_0 does not)."""
-    return g.n >= 1 and g.edge_count == g.n - 1 and len(connected_components(g)) == 1
+    return _tree_adjacency(g) is not None
 
 
 def is_linear_forest(g: Graph) -> bool:

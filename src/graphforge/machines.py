@@ -42,6 +42,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import NamedTuple
 
 from .graphs import Graph, empty_graph, to_json_obj, _check_edge_cap, _unchecked
 
@@ -207,8 +208,10 @@ class ResourceCost:
     random_bits: int
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One step of a run. A tuple of its fields: it equals, and hashes
+    like, the plain tuple (step, bit, action, modified, edges_added)."""
+
     step: int
     bit: int
     action: Action
@@ -274,10 +277,16 @@ class ConstructionTrace:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _check_instruction_string(x: str) -> tuple[int, ...]:
-    if any(ch not in "01" for ch in x):
+    """The bits of x as ints. Refuses any character but ASCII 0 and 1: what
+    strip leaves is empty exactly then, and the checked string decodes in
+    one translate."""
+    if x.strip("01"):
         raise ValueError(f"instruction string must be over 0/1, got {x!r}")
-    return tuple(int(ch) for ch in x)
+    return tuple(x.encode("ascii").translate(_BIT_VALUES))
 
 
 def interpret(rule: RuleSet, model: MemoryModel, x: str) -> ConstructionTrace:
@@ -289,11 +298,16 @@ def interpret(rule: RuleSet, model: MemoryModel, x: str) -> ConstructionTrace:
 
 
 def _normalize_choices(choices, length: int) -> str:
+    """Choices as an s/m string: a string over s/m, or booleans with True
+    for a rewrite ("m"). Any other element is refused."""
     if isinstance(choices, str):
         if any(ch not in "sm" for ch in choices):
             raise ValueError(f"choices must be over s/m, got {choices!r}")
         text = choices
     else:
+        choices = tuple(choices)
+        if not all(isinstance(c, bool) for c in choices):
+            raise ValueError(f"choices must be an s/m string or booleans, got {choices!r}")
         text = "".join("m" if c else "s" for c in choices)
     if len(text) != length:
         raise ValueError(f"need one choice per step: {len(text)} choices for {length} steps")
@@ -324,17 +338,27 @@ def _check_run(rule: RuleSet, model: MemoryModel, n: int) -> None:
     _check_edge_cap(worst, f"a {n}-bit run under {model}")
 
 
+_ActionPairs = tuple[tuple[Action, int | None], tuple[Action, int | None]]
+
+
+def _actions(rule: RuleSet) -> _ActionPairs:
+    """The rule's (action, join target) pair for bit 0 and for bit 1, looked
+    up once per run so that a step indexes them by its bit."""
+    a0, a1 = rule.action_for_0, rule.action_for_1
+    return (a0, a0.join_target), (a1, a1.join_target)
+
+
 def _step(
-    rule: RuleSet, fading: bool, labels: tuple[int, ...], edges: Set[tuple[int, int]],
+    actions: _ActionPairs, fading: bool, labels: tuple[int, ...], edges: Set[tuple[int, int]],
     t: int, modify: bool,
 ) -> StepRecord:
     """Step t: place vertex t, labelled labels[t - 1], onto the graph whose
     edges are `edges`, and record the edges its action adds that are not
-    already there, sorted. Only labels[:t] is read. `fading` selects the
-    two-step window; `modify` replaces the step by its label-pair rewrite."""
+    already there, sorted. Only labels[:t] is read. `actions` is the rule's
+    _actions; `fading` selects the two-step window; `modify` replaces the
+    step by its label-pair rewrite."""
     bit = labels[t - 1]
-    action = rule.action_for(bit)
-    c = action.join_target
+    action, c = actions[bit]
     if modify:
         if c is None:
             raise ModifyUnsupported(
@@ -347,15 +371,13 @@ def _step(
             for j in range(i + 1, t + 1)
             if (labels[i - 1], labels[j - 1]) in want and (i, j) not in edges
         )
-    elif action is Action.DOMINATE_ALL:
-        added = tuple((i, t) for i in range(1, t))
     elif c is None:
-        added = ()
+        added = tuple((i, t) for i in range(1, t)) if action is Action.DOMINATE_ALL else ()
     elif fading:  # window 2: only the previous label is readable
         added = ((t - 1, t),) if t > 1 and labels[t - 2] == c else ()
     else:
         added = tuple((i, t) for i in range(1, t) if labels[i - 1] == c)
-    return _unchecked(StepRecord, step=t, bit=bit, action=action, modified=modify, edges_added=added)
+    return StepRecord(t, bit, action, modify, added)
 
 
 def _trace(
@@ -376,11 +398,12 @@ def _run(
 ) -> ConstructionTrace:
     """One run, step by step; `choices` is None outside the modifiable model.
     Callers check the run with _check_run first."""
+    actions = _actions(rule)
     fading = model.kind == "fading"
     steps: list[StepRecord] = []
     edges: set[tuple[int, int]] = set()
     for t in range(1, len(labels) + 1):
-        rec = _step(rule, fading, labels, edges, t, choices is not None and choices[t - 1] == "m")
+        rec = _step(actions, fading, labels, edges, t, choices is not None and choices[t - 1] == "m")
         edges.update(rec.edges_added)
         steps.append(rec)
     return _trace(rule, model, x, choices, tuple(steps), frozenset(edges), labels)
@@ -395,12 +418,13 @@ def _runs(rule: RuleSet, model: MemoryModel, n: int):
     pushing children in reverse so that traces leave in order; one _step
     extends a prefix, so siblings share their parent's steps."""
     _check_run(rule, model, n)
+    actions = _actions(rule)
     fading = model.kind == "fading"
     modifiable = model.kind == "modifiable"
     options = [
         (bit, choice)
         for bit in (1, 0)
-        for choice in ("ms" if modifiable and rule.action_for(bit).join_target is not None else "s")
+        for choice in ("ms" if modifiable and actions[bit][1] is not None else "s")
     ]
     stack = [("", (), "", (), frozenset())]
     while stack:
@@ -411,7 +435,7 @@ def _runs(rule: RuleSet, model: MemoryModel, n: int):
             continue
         for bit, choice in options:
             grown = labels + (bit,)
-            rec = _step(rule, fading, grown, edges, t + 1, choice == "m")
+            rec = _step(actions, fading, grown, edges, t + 1, choice == "m")
             stack.append((x + "01"[bit], grown, choices + choice, steps + (rec,),
                           edges.union(rec.edges_added)))
 

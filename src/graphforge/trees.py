@@ -34,6 +34,7 @@ from .graphs import (
     is_tree,
     _check_edge_cap,
     _check_limit,
+    _tree_adjacency,
 )
 from .machines import ResourceCost
 from .randomness import _count_copies, _ua_masks
@@ -96,23 +97,25 @@ def is_recursive_tree(g: Graph) -> bool:
 
 def root_path(g: Graph, v: int) -> tuple[int, ...]:
     """The unique path from vertex 1 to v in a tree, endpoints included."""
-    if not is_tree(g):
+    adj = _tree_adjacency(g)
+    if adj is None:
         raise ValueError("root paths are defined for trees only")
-    parent = _toward_root(g)
+    parent = _toward_root(adj)
     path = [v]
     while path[-1] != 1:
         path.append(parent[path[-1]])
     return tuple(reversed(path))
 
 
-def _toward_root(g: Graph) -> dict[int, int]:
-    """Each vertex's neighbour toward vertex 1 in the tree g (0 for vertex 1),
-    keyed in the order the search finds them, each vertex after its parent."""
+def _toward_root(adj: list[list[int]]) -> dict[int, int]:
+    """Each vertex's neighbour toward vertex 1 in the tree whose neighbour
+    lists are `adj` (0 for vertex 1), keyed in the order the search finds
+    them, each vertex after its parent."""
     parent = {1: 0}
     queue = [1]
     while queue:
         u = queue.pop()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
@@ -120,8 +123,13 @@ def _toward_root(g: Graph) -> dict[int, int]:
 
 
 def leaves(g: Graph) -> tuple[int, ...]:
-    """Degree-1 vertices in increasing order."""
-    return tuple(v for v in range(1, g.n + 1) if g.degree(v) == 1)
+    """Degree-1 vertices in increasing order, with degrees counted from the
+    edges."""
+    degree = [0] * (g.n + 1)
+    for i, j in g.edges:
+        degree[i] += 1
+        degree[j] += 1
+    return tuple(v for v in range(1, g.n + 1) if degree[v] == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +140,17 @@ def prufer_encode(g: Graph) -> tuple[int, ...]:
     """Length n-2 code: remove the smallest leaf, record its neighbour."""
     if g.n < 2:
         raise ValueError("encoding needs at least two vertices")
-    if not is_tree(g):
+    tree = _tree_adjacency(g)
+    if tree is None:
         raise ValueError("only trees have a code")
-    adj = {v: g.neighbors(v) for v in range(1, g.n + 1)}
-    heap = [v for v in adj if len(adj[v]) == 1]
-    heapq.heapify(heap)
+    adj = [set(nbs) for nbs in tree]
+    heap = [v for v in range(1, g.n + 1) if len(adj[v]) == 1]  # ascending: a heap
     code = []
     for _ in range(g.n - 2):
         leaf = heapq.heappop(heap)
-        nb = next(iter(adj[leaf]))
+        nb = adj[leaf].pop()
         code.append(nb)
         adj[nb].discard(leaf)
-        del adj[leaf]
         if len(adj[nb]) == 1:
             heapq.heappush(heap, nb)
     return tuple(code)
@@ -186,11 +193,12 @@ def ua_likelihood_exact(t_graph: Graph) -> Fraction:
     T_v the subtree below v); moving the root from p to its child c
     multiplies R by |T_c|/(n - |T_c|).  Each recursive labelled copy is
     |Aut| of these labellings, so P = sum_r R(r) / (|Aut| (n-1)!)."""
-    if not is_tree(t_graph):
+    adj = _tree_adjacency(t_graph)
+    if adj is None:
         raise ValueError("likelihood under uniform attachment needs a tree")
     n = t_graph.n
     _check_limit("exact_n", n, "exact tree likelihood supported for n <= {limit}")
-    parent = _toward_root(t_graph)
+    parent = _toward_root(adj)
     size = dict.fromkeys(parent, 1)  # |T_v| with the tree rooted at vertex 1
     below_root = list(parent)[1:]
     for v in reversed(below_root):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
 from itertools import product
 from math import comb
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphforge import families, machines
 from graphforge.cli import main as cli_main
 from graphforge.graphs import (
     LIMITS,
@@ -30,6 +33,7 @@ from graphforge.machines import (
     InvalidActionForModel,
     LabeledGraph,
     ModifyUnsupported,
+    StepRecord,
     canonical_rule,
     fading_memory,
     interpret,
@@ -212,6 +216,22 @@ def test_modifiable_choice_validation() -> None:
         interpret_modifiable(parse_rule("0>1,1>-"), "0010", "ssxq")
 
 
+def test_choice_lists_must_be_booleans() -> None:
+    """A list of choices holds booleans, True for a rewrite; anything else
+    is refused before the first step, however truthy it is."""
+    rule = parse_rule("0>1,1>0")
+    assert interpret_modifiable(rule, "01", [False, True]) == interpret_modifiable(rule, "01", "sm")
+    assert interpret_modifiable(rule, "0101", iter([True] * 4)).choices == "mmmm"
+    bad = [["s"] * 4, [0, 1, 0, 1], [1, True, False, False], [None] * 4]
+    for choices in bad:
+        with pytest.raises(ValueError, match="choices must be an s/m string or booleans"):
+            interpret_modifiable(rule, "0101", choices)
+    # "s" strings once read as rewrites and failed at the first NoEdge step
+    with pytest.raises(ValueError) as exc:
+        interpret_modifiable(parse_rule("0>1,1>-"), "00010", ["s"] * 5)
+    assert not isinstance(exc.value, ModifyUnsupported)
+
+
 def test_labeled_graph_checks_its_labels() -> None:
     g = Graph(3, frozenset({(1, 2)}))
     assert LabeledGraph(g, (0, 1, 1)).labels == (0, 1, 1)
@@ -225,6 +245,35 @@ def test_interpret_rejects_bad_strings() -> None:
         interpret(parse_rule("0>E,1>E"), NO_MEMORY, "0a1")
     # the empty instruction string builds the graph on zero vertices
     assert interpret(parse_rule("0>E,1>E"), NO_MEMORY, "").final.graph == empty_graph(0)
+
+
+def test_bit_decoder_accepts_only_ascii_bits() -> None:
+    """The decoder refuses every character but ASCII 0 and 1, digits that
+    int() reads included, with one message; families check bits with it."""
+    decode = machines._check_instruction_string
+    assert decode("") == ()
+    assert decode("0110") == (0, 1, 1, 0)
+    assert decode("01" * 4000) == (0, 1) * 4000
+    others = [chr(c) for c in range(0x80) if chr(c) not in "01"]
+    others += ["\u0660", "\uff10", "\U0001d7ce", "\u00b9", "\u2070"]
+    for ch in others:
+        for x in (ch, "0" + ch, ch + "1", "01" + ch + "10"):
+            for check in (decode, families.check_bits):
+                with pytest.raises(ValueError) as exc:
+                    check(x)
+                assert str(exc.value) == f"instruction string must be over 0/1, got {x!r}"
+
+
+def test_step_records_are_their_field_tuples() -> None:
+    rec = StepRecord(3, 1, Action.JOIN_LABEL_0, False, ((1, 3), (2, 3)))
+    fields = (3, 1, Action.JOIN_LABEL_0, False, ((1, 3), (2, 3)))
+    assert rec == fields and hash(rec) == hash(fields)
+    assert rec._fields == ("step", "bit", "action", "modified", "edges_added")
+    assert (rec.step, rec.bit, rec.action, rec.modified, rec.edges_added) == fields
+    for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(clone) is StepRecord and clone == rec and hash(clone) == hash(rec)
+    trace = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "ssssm")
+    assert pickle.loads(pickle.dumps(trace)) == trace == copy.deepcopy(trace)
 
 
 def test_trace_json_is_self_describing() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 import random
 from fractions import Fraction
 from math import factorial
@@ -16,8 +18,10 @@ from graphforge.graphs import (
     Graph,
     canonical_form,
     complete_bipartite,
+    connected_components,
     cycle_graph,
     is_isomorphic,
+    is_tree,
     path_graph,
     relabel,
 )
@@ -374,3 +378,102 @@ def test_ua_likelihood_matches_copy_count_by_search() -> None:
                 for m in distinct_labeled_copies(t)
             )
             assert ua_likelihood_exact(t) == Fraction(count, factorial(n - 1))
+
+
+def _prufer_by_rows(g: Graph) -> tuple[int, ...]:
+    """The rows-index coding that the edge-list one replaced."""
+    adj = {v: g.neighbors(v) for v in range(1, g.n + 1)}
+    heap = [v for v in adj if len(adj[v]) == 1]
+    heapq.heapify(heap)
+    code = []
+    for _ in range(g.n - 2):
+        leaf = heapq.heappop(heap)
+        nb = next(iter(adj[leaf]))
+        code.append(nb)
+        adj[nb].discard(leaf)
+        del adj[leaf]
+        if len(adj[nb]) == 1:
+            heapq.heappush(heap, nb)
+    return tuple(code)
+
+
+def _path_by_rows(g: Graph, v: int) -> tuple[int, ...]:
+    parent = {1: 0}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for w in g.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    path = [v]
+    while path[-1] != 1:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def _seeded_trees():
+    """UA trees, each also under a seeded shuffle of its labels."""
+    rng = random.Random(19)
+    for n in (2, 3, 7, 40, 300, 2000):
+        for seed in range(6):
+            t = sample_ua(n, seed)
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            yield t
+            yield relabel(t, {v: image[v - 1] for v in range(1, n + 1)})
+
+
+def test_tree_paths_match_the_rows_route_on_seeded_trees() -> None:
+    """Codes, leaves and root paths built from the edge list equal the rows
+    route's, and their digest is the one the rows route gave."""
+    digest = hashlib.sha256()
+    for g in _seeded_trees():
+        n = g.n
+        code, found = prufer_encode(g), leaves(g)
+        paths = [root_path(g, v) for v in range(1, n + 1, max(1, n // 25))]
+        assert code == _prufer_by_rows(g)
+        assert found == tuple(v for v in range(1, n + 1) if g.degree(v) == 1)
+        assert paths == [_path_by_rows(g, v) for v in range(1, n + 1, max(1, n // 25))]
+        digest.update(repr((code, found, paths)).encode())
+    assert digest.hexdigest() == "17ab00a5ceb35e4bfc66a73f9d8c974c5dcf69498a0fc6781f10bacc83b1626c"
+
+
+def test_is_tree_matches_components_on_every_small_graph() -> None:
+    trees_seen = 0
+    for n in range(7):
+        dyads = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        for mask in range(1 << len(dyads)):
+            g = Graph(n, frozenset(d for k, d in enumerate(dyads) if (mask >> k) & 1))
+            want = n >= 1 and g.edge_count == n - 1 and len(connected_components(g)) == 1
+            assert is_tree(g) == want, g
+            trees_seen += want
+    assert trees_seen == sum(n ** (n - 2) for n in range(1, 7))
+
+
+def test_tree_paths_refuse_non_trees_with_unchanged_messages() -> None:
+    # n - 1 edges that miss a vertex, a cycle, a forest and no vertex at all
+    spanning_miss = Graph.from_pairs(4, [(1, 2), (2, 3), (1, 3)])
+    for g in (spanning_miss, cycle_graph(4), Graph.from_pairs(4, [(1, 2), (3, 4)]), Graph(0, frozenset())):
+        assert not is_tree(g)
+        with pytest.raises(ValueError, match="^root paths are defined for trees only$"):
+            root_path(g, 1)
+        if g.n >= 2:
+            with pytest.raises(ValueError, match="^only trees have a code$"):
+                prufer_encode(g)
+        with pytest.raises(ValueError, match="^likelihood under uniform attachment needs a tree$"):
+            ua_likelihood_exact(g)
+        with pytest.raises(ValueError, match="^positivity check needs a tree$"):
+            tree_positivity_check(g, 10, 0)
+    with pytest.raises(ValueError, match="^encoding needs at least two vertices$"):
+        prufer_encode(Graph(1, frozenset()))
+    # leaves reads degrees of any graph, tree or not
+    assert leaves(Graph.from_pairs(5, [(1, 2), (2, 3), (1, 3), (4, 5)])) == (4, 5)
+
+
+def test_large_tree_paths_build_no_rows_index() -> None:
+    g = sample_ua(20_000, 1)
+    code = prufer_encode(g)
+    assert len(code) == 19_998 and prufer_decode(code) == g
+    assert root_path(g, 20_000)[0] == 1 and leaves(g) and is_tree(g)
+    assert "rows" not in g.__dict__

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import product
 
 import pytest
@@ -235,6 +236,32 @@ def test_walk_traces_equal_their_public_rebuilds() -> None:
                     assert trace == rebuilt and hash(trace) == hash(rebuilt), (rule.mnemonic, trace.x)
                     per_step = trace.graphs_per_step()
                     assert [hash(g) for g in per_step] == [hash(Graph(g.n, g.edges)) for g in per_step]
+
+
+def test_long_run_traces_equal_their_public_rebuilds() -> None:
+    """Seeded runs of 2,000 bits, under every rule and model whose edge cap
+    admits them (fading(2) without DominateAll), and of 400 bits under the
+    rest, equal and hash like their checked rebuilds."""
+    rng = random.Random(2000)
+    for model, rules, _ in _WALK_CASES:
+        for rule in rules:
+            try:
+                machines._check_run(rule, model, 2000)
+                n = 2000
+            except ValueError:
+                n = 400
+            x = "".join(rng.choice("01") for _ in range(n))
+            if model.kind == "modifiable":
+                joins = {bit for bit in (0, 1) if rule.action_for(bit).join_target is not None}
+                choices = "".join(
+                    "m" if int(b) in joins and rng.random() < 0.05 else "s" for b in x
+                )
+                trace = interpret_modifiable(rule, x, choices)
+            else:
+                trace = interpret(rule, model, x)
+            rebuilt = _public_rebuild(trace)
+            assert trace == rebuilt and hash(trace) == hash(rebuilt), (rule.mnemonic, str(model))
+            assert len(trace.steps) == n
 
 
 def test_walk_steps_every_prefix_once(monkeypatch) -> None:
