@@ -374,9 +374,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # InvalidActionForModel and ModifyUnsupported subclass ValueError, so
-        # every precondition violation lands here.
+        # every precondition violation lands here; an OSError is output
+        # that cannot be written (an --out path, or a full stdout).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

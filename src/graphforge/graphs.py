@@ -47,8 +47,7 @@ LIMITS = {
     "walk_k": 6,  # induced-subgraph prefix tables hold k! labelled copies each
     "build_edges": 1 << 20,  # edges one machine run or sample may build
     "matrix_bits": 1 << 24,  # matrix output writes one character per vertex pair
-    "cost_a_n": 65_536,  # a(n) steps a binomial of about n bits n times
-    "cost_a_closed_n": 8_192,  # the closed form recomputes every binomial
+    "cost_a_n": 65_536,  # a(n) and its closed form step a binomial of about n bits n times
 }
 
 
@@ -606,17 +605,21 @@ def is_threshold(g: Graph) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _threshold_forbidden_levels() -> tuple[frozenset[int], ...]:
-    """The prefix levels of P4, C4 and 2K2 together, built once."""
-    shapes = (path_graph(4), cycle_graph(4), disjoint_union(path_graph(2), path_graph(2)))
-    return tuple(frozenset().union(*level) for level in zip(*map(_copy_levels, shapes)))
-
-
 def is_threshold_by_forbidden(g: Graph) -> bool:
-    """Characterisation route: no induced P4, C4, or 2K2."""
+    """Characterisation route: no induced P4, C4, or 2K2, which are the
+    4-vertex graphs with edges ab and cd and non-edges ac and bd. So g is
+    threshold when no edge ab has a non-neighbour c of a adjacent to a
+    non-neighbour d of b; swapping a and b swaps c and d, so each edge is
+    tried one way round."""
     _check_limit("exact_n", g.n, "forbidden-subgraph threshold test supported for n <= {limit}, got {n}")
-    return not _induces_mask_in(g, _threshold_forbidden_levels())
+    rows = g.rows
+    everyone = (1 << (g.n + 1)) - 2
+    far = [everyone & ~(r | 1 << v) for v, r in enumerate(rows)]
+    beyond = [0] * len(rows)
+    for a in range(1, g.n + 1):
+        for c in _vertices(far[a]):
+            beyond[a] |= rows[c]
+    return not any(beyond[a] & far[b] for a, b in g.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ What "earlier vertices labelled c" means depends on the memory model:
 _step is the step semantics: it places one vertex onto a run prefix and
 records the edges it adds. Two loops sit beside it. _run replays one run
 from step 1 on one mutable edge set (interpret, interpret_modifiable, the
-CLI's build). _runs walks every run of a length depth-first; each step
-branches over one fixed list of (bit, choice) options, so runs that share
-a prefix, across strings and choice sequences alike, share its steps.
+CLI's build). _runs walks the runs of one or more lengths depth-first; each
+step branches over one fixed list of (bit, choice) options, so runs that
+share a prefix, across strings, choices and lengths alike, share its steps.
 _check_run refuses illegal runs before either loop starts.
 
 Rules are written as mnemonics like "0>1,1>-": bit 0 joins label-1 vertices,
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 from typing import NamedTuple
@@ -154,7 +154,8 @@ def canonical_rule(rule: RuleSet) -> RuleSet:
 @dataclass(frozen=True)
 class MemoryModel:
     kind: str  # "none" | "full" | "fading" | "modifiable"
-    window: int | None = None
+    # not hashed: before Python 3.12 None hashes by its address, which differs by process
+    window: int | None = field(default=None, hash=False)
 
     def __str__(self) -> str:
         return f"fading({self.window})" if self.kind == "fading" else self.kind
@@ -224,7 +225,7 @@ class ConstructionTrace:
     rule: RuleSet
     model: MemoryModel
     x: str
-    choices: str | None
+    choices: str | None = field(hash=False)  # may be None: see MemoryModel.window
     steps: tuple[StepRecord, ...]
     final: LabeledGraph
 
@@ -409,15 +410,17 @@ def _run(
     return _trace(rule, model, x, choices, tuple(steps), frozenset(edges), labels)
 
 
-def _runs(rule: RuleSet, model: MemoryModel, n: int):
-    """Every trace of the rule at string length n, in product order over
-    the steps' (bit, choice) options: bit 0 before 1 and, under the
-    modifiable model, "s" before "m", where "m" is an option only when the
-    bit's action is a label join. Outside the modifiable model this is
-    numeric string order. The walk is depth-first over run prefixes,
-    pushing children in reverse so that traces leave in order; one _step
-    extends a prefix, so siblings share their parent's steps."""
+def _runs(rule: RuleSet, model: MemoryModel, n: int, shortest: int | None = None):
+    """Every trace of the rule at string lengths `shortest` (by default n)
+    to n, pre-order: a prefix leaves before its extensions, and one length's
+    traces in product order over the steps' (bit, choice) options, bit 0
+    before 1 and, under the modifiable model, "s" before "m", where "m" is
+    an option only when the bit's action is a label join: numeric string
+    order outside the modifiable model. The walk is depth-first over run
+    prefixes, pushing children in reverse so that they pop in order; one
+    _step extends a prefix, so siblings share their parent's steps."""
     _check_run(rule, model, n)
+    shortest = n if shortest is None else shortest
     actions = _actions(rule)
     fading = model.kind == "fading"
     modifiable = model.kind == "modifiable"
@@ -430,8 +433,9 @@ def _runs(rule: RuleSet, model: MemoryModel, n: int):
     while stack:
         x, labels, choices, steps, edges = stack.pop()
         t = len(labels)
-        if t == n:
+        if t >= shortest:
             yield _trace(rule, model, x, choices if modifiable else None, steps, edges, labels)
+        if t == n:
             continue
         for bit, choice in options:
             grown = labels + (bit,)

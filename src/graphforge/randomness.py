@@ -424,11 +424,15 @@ def randomness_cost_a_closed(n: int) -> int:
     the final step's subset draw and already misses a(4).)"""
     if n < 4:
         raise ValueError("closed form stated for n >= 4")
-    _check_limit("cost_a_closed_n", n, "closed form of a(n) supported for n <= {limit}, got {n}")
-    s_even = sum((comb(i - 1, i // 2) - 1).bit_length() - 1 for i in range(4, n + 1, 2))
-    s_odd = sum((comb(i - 1, (i - 1) // 2) - 1).bit_length() - 1 for i in range(3, n + 1, 2))
+    _check_limit("cost_a_n", n, "closed form of a(n) supported for n <= {limit}, got {n}")
+    # The b_e(i) - 1 and b_o(i) - 1 terms read C(i-1, h), h = floor(i/2): the
+    # one of i - 2 times 2(2h-1)/h, from C(1, 1) at i = 2 and C(0, 0) at i = 1.
+    central, s_subsets = [1, 1], 0
+    for i in range(3, n + 1):
+        central[i % 2] = central[i % 2] * (4 * (i // 2) - 2) // (i // 2)
+        s_subsets += (central[i % 2] - 1).bit_length() - 1
     s_log = sum((i - 1).bit_length() - 1 for i in range(2, n + 1))
-    return s_even + s_odd + s_log + 2 * n - 3
+    return s_subsets + s_log + 2 * n - 3
 
 
 __all__ = [

@@ -25,12 +25,12 @@ The reachability helpers (enumerate_outputs, reachable_classes,
 find_constructions, expressiveness_count, hierarchy_report) answer which
 isomorphism classes each memory model can emit at all.
 
-Every check reads its machine runs from machines._runs, which yields each
-trace of a rule at one string length (one per legal choice sequence under
-the modifiable model); this module enumerates no runs itself, and only the
-fixed worked examples of C_modifiable and C_pnfree call the interpreters
-directly.  P2, P3 and P5 share one table loop, _table_runs, which compares
-every output with its closed-form family.
+Every check reads its machine runs from machines._runs, one walk per rule
+for all lengths 0..max_n (one trace per legal choice sequence under the
+modifiable model), and reports length by length; only the fixed worked
+examples of C_modifiable and C_pnfree call the interpreters directly.
+P2, P3 and P5 share one table loop, _table_runs, which compares every
+output with its closed-form family.
 C_modifiable reads rewrite steps from the traces' edge records: steps only
 add edges and record only new ones, so deleting vertex t from G_t fails to
 recover G_{t-1} up to isomorphism exactly when step t added an edge between
@@ -59,6 +59,7 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     complete_split,
+    connected_components,
     contains_induced,
     cycle_graph,
     disjoint_union,
@@ -68,7 +69,6 @@ from .graphs import (
     is_linear_forest,
     is_threshold,
     is_threshold_by_forbidden,
-    linear_forest,
     path_graph,
     to_json,
     _check_limit,
@@ -181,12 +181,13 @@ def _counterexample(trace: ConstructionTrace, expected: str) -> Counterexample:
 # reachability
 # ---------------------------------------------------------------------------
 
-def _reachable_with_witnesses(model: MemoryModel, n: int) -> dict[bytes, ConstructionTrace]:
-    """Canonical certificate -> first run (in rule, then _runs order) reaching it."""
-    out: dict[bytes, ConstructionTrace] = {}
+def _reachable_with_witnesses(model: MemoryModel, n: int, shortest: int | None = None) -> list[dict]:
+    """Indexed by string length, shortest (by default n) to n: canonical
+    certificate -> first run (in rule, then _runs order) reaching it."""
+    out: list[dict[bytes, ConstructionTrace]] = [{} for _ in range(n + 1)]
     for rule in _rules_for(model):
-        for trace in _runs(rule, model, n):
-            out.setdefault(canonical_form(trace.final.graph), trace)
+        for trace in _runs(rule, model, n, shortest):
+            out[len(trace.x)].setdefault(canonical_form(trace.final.graph), trace)
     return out
 
 
@@ -199,7 +200,7 @@ def enumerate_outputs(rule: RuleSet, model: MemoryModel, n: int) -> set[bytes]:
 def reachable_classes(model: MemoryModel, n: int) -> set[bytes]:
     """Canonical forms reachable under any rule legal for the model."""
     _check_enumeration_bound(model, n, "output enumeration")
-    return set(_reachable_with_witnesses(model, n))
+    return set(_reachable_with_witnesses(model, n)[n])
 
 
 def expressiveness_count(model: MemoryModel, n: int) -> int:
@@ -247,18 +248,29 @@ def _run_check(name: str, check, rules, models, max_n: int) -> VerificationRepor
     )
 
 
+def _walk(rules, model: MemoryModel, max_n: int, cxs: list[Counterexample]):
+    """Every run of each rule at lengths 0..max_n, one walk per rule, each
+    with its length's counterexample list; after each rule the lists join
+    cxs in length order, as if each length were walked in turn."""
+    for rule in rules:
+        by_length: list[list[Counterexample]] = [[] for _ in range(max_n + 1)]
+        for trace in _runs(rule, model, max_n, 0):
+            yield trace, by_length[len(trace.x)]
+        for found in by_length:
+            cxs.extend(found)
+
+
 def _table_runs(model: MemoryModel, family, max_n: int, cxs: list[Counterexample]):
     """Run every rule legal for the model on every string of length at most
     max_n and compare each output, labelled vertex for labelled vertex, with
-    the closed-form family. Yields (trace, matches); mismatches go to cxs."""
-    for rule in _rules_for(model):
-        for n in range(max_n + 1):
-            for trace in _runs(rule, model, n):
-                want = family(rule, trace.x)
-                matches = trace.final.graph == want.graph and trace.final.labels == want.labels
-                if not matches:
-                    cxs.append(_counterexample(trace, f"closed form {to_json(want.graph)}"))
-                yield trace, matches
+    the closed-form family. Yields (trace, matches, found), found being the
+    run's counterexample list from _walk; mismatches go there."""
+    for trace, found in _walk(_rules_for(model), model, max_n, cxs):
+        want = family(trace.rule, trace.x)
+        matches = trace.final.graph == want.graph and trace.final.labels == want.labels
+        if not matches:
+            found.append(_counterexample(trace, f"closed form {to_json(want.graph)}"))
+        yield trace, matches, found
 
 
 def _verify_no_memory(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
@@ -266,15 +278,15 @@ def _verify_no_memory(max_n: int, cxs: list[Counterexample], notes: list[str]) -
     the rule reaches all 2^(n-1) threshold classes on n >= 1 vertices."""
     checked = 0
     reached: list[set[bytes]] = [set() for _ in range(max_n + 1)]
-    for trace, _ in _table_runs(NO_MEMORY, full_table_family, max_n, cxs):
+    for trace, _, found in _table_runs(NO_MEMORY, full_table_family, max_n, cxs):
         checked += 1
         if trace.rule.mnemonic != "0>E,1>-":
             continue
         g = trace.final.graph
         if not is_threshold(g):
-            cxs.append(_counterexample(trace, "a threshold graph (elimination test)"))
+            found.append(_counterexample(trace, "a threshold graph (elimination test)"))
         if not is_threshold_by_forbidden(g):
-            cxs.append(_counterexample(trace, "a threshold graph (forbidden-subgraph test)"))
+            found.append(_counterexample(trace, "a threshold graph (forbidden-subgraph test)"))
         reached[g.n].add(canonical_form(g))
     for n, seen in enumerate(reached):
         everywhere = f"all strings of length {n}"
@@ -314,16 +326,24 @@ _NAMED_FULL_SHAPES = {
 
 def _verify_full_memory(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     checked = 0
-    for trace, matches in _table_runs(FULL_MEMORY, full_table_family, max_n, cxs):
+    shapes = {(rule, l, n - l): shape(l, n - l) for rule, shape in _NAMED_FULL_SHAPES.items()
+              for n in range(max_n + 1) for l in range(n + 1)}
+    for trace, matches, found in _table_runs(FULL_MEMORY, full_table_family, max_n, cxs):
         checked += 1
         if not matches:
             continue
         g = trace.final.graph
-        shape = _NAMED_FULL_SHAPES.get(trace.rule.mnemonic)
-        if shape is not None and not is_isomorphic(g, shape(trace.x.count("0"), trace.x.count("1"))):
-            cxs.append(_counterexample(trace, "the named family shape"))
+        want = shapes.get((trace.rule.mnemonic, trace.x.count("0"), trace.x.count("1")))
+        if want is not None:
+            # each shape is exact once the 0-labelled vertices become 1..l and the
+            # 1-labelled l+1..l+m, each group in order; isomorphism decides the rest
+            order = sorted(range(1, g.n + 1), key=lambda v: trace.final.labels[v - 1])
+            place = dict(zip(order, range(1, g.n + 1)))
+            mapped = frozenset((min(place[i], place[j]), max(place[i], place[j])) for i, j in g.edges)
+            if mapped != want.edges and not is_isomorphic(g, want):
+                found.append(_counterexample(trace, "the named family shape"))
         if trace.rule.mnemonic == "0>E,1>-" and not (is_threshold(g) and is_threshold_by_forbidden(g)):
-            cxs.append(_counterexample(trace, "a threshold graph"))
+            found.append(_counterexample(trace, "a threshold graph"))
     return checked
 
 
@@ -350,16 +370,18 @@ def _verify_fading_memory(max_n: int, cxs: list[Counterexample], notes: list[str
             )
         else:
             notes.append(f"{name}({_RUN_STAT_EXAMPLE}) = {expected}")
-    for trace, matches in _table_runs(_FADING, fading_table_family, max_n, cxs):
+    for trace, matches, found in _table_runs(_FADING, fading_table_family, max_n, cxs):
         checked += 1
         if not matches:
             continue
         g = trace.final.graph
         sizes = fading_path_sizes(trace.rule, trace.x)
         if sizes is not None:
-            expected_forest = linear_forest(list(sizes) + [1] * (g.n - sum(sizes)))
-            if not (is_linear_forest(g) and is_isomorphic(g, expected_forest)):
-                cxs.append(_counterexample(trace, f"linear forest with path sizes {sizes}"))
+            # two linear forests are isomorphic iff their sorted sizes agree
+            expected = sorted(list(sizes) + [1] * (g.n - sum(sizes)))
+            got = sorted(len(c) for c in connected_components(g))
+            if not (is_linear_forest(g) and got == expected):
+                found.append(_counterexample(trace, f"linear forest with path sizes {sizes}"))
     return checked
 
 
@@ -388,26 +410,24 @@ def _verify_modifiable(max_n: int, cxs: list[Counterexample], notes: list[str]) 
         )
 
     flagged_total = 0
-    for rule in FULL_RULES:
-        for n in range(max_n + 1):
-            for trace in _runs(rule, MODIFIABLE, n):
-                checked += 1
-                flagged = memory_modifiable_steps(trace)
-                if not flagged:
-                    continue
-                per_step = trace.graphs_per_step()
-                for t in flagged:
-                    flagged_total += 1
-                    g_t = per_step[t]
-                    if canonical_form(g_t) not in families[t]:
-                        cxs.append(
-                            Counterexample(
-                                rule.mnemonic, "modifiable", trace.x, trace.choices,
-                                f"step-{t} graph in the rewrite families "
-                                "(complete split / complete bipartite / complete)",
-                                to_json(g_t),
-                            )
-                        )
+    for trace, found in _walk(FULL_RULES, MODIFIABLE, max_n, cxs):
+        checked += 1
+        flagged = memory_modifiable_steps(trace)
+        if not flagged:
+            continue
+        per_step = trace.graphs_per_step()
+        for t in flagged:
+            flagged_total += 1
+            g_t = per_step[t]
+            if canonical_form(g_t) not in families[t]:
+                found.append(
+                    Counterexample(
+                        trace.rule.mnemonic, "modifiable", trace.x, trace.choices,
+                        f"step-{t} graph in the rewrite families "
+                        "(complete split / complete bipartite / complete)",
+                        to_json(g_t),
+                    )
+                )
     notes.append(f"{flagged_total} rewrite steps examined")
     return checked
 
@@ -419,8 +439,8 @@ def _verify_path_cycle_free(max_n: int, cxs: list[Counterexample], notes: list[s
     # first witness in rule order
     witnesses = {
         cert: trace
-        for n in range(max_n + 1)
-        for cert, trace in _reachable_with_witnesses(FULL_MEMORY, n).items()
+        for level in _reachable_with_witnesses(FULL_MEMORY, max_n, 0)
+        for cert, trace in level.items()
     }
     notes.append(f"{len(witnesses)} distinct output classes at n <= {max_n}")
 
@@ -482,10 +502,8 @@ def verify_proposition(proposition: str, max_n: int | None = None) -> Verificati
 
 def _compare_models(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     checked = 0
-    for n in range(max_n + 1):
-        none_w = _reachable_with_witnesses(NO_MEMORY, n)
-        fading_w = _reachable_with_witnesses(_FADING, n)
-        full_w = _reachable_with_witnesses(FULL_MEMORY, n)
+    by_model = [_reachable_with_witnesses(m, max_n, 0) for m in (NO_MEMORY, _FADING, FULL_MEMORY)]
+    for n, (none_w, fading_w, full_w) in enumerate(zip(*by_model)):
         notes.append(f"n={n}: none {len(none_w)}, fading {len(fading_w)}, full {len(full_w)}")
         for cert in sorted(none_w):
             checked += 2

@@ -255,6 +255,18 @@ def test_output_file_and_env_dir(tmp_path: Path) -> None:
     assert (tmp_path / "a4.txt").read_text().strip() == "8"
 
 
+def test_unwritable_out_path_exits_2_with_a_message(tmp_path: Path, capsys) -> None:
+    """A missing directory and a directory itself, as --out, are refused
+    with one error line and exit 2, not a traceback."""
+    missing = tmp_path / "nonexistent" / "f"
+    for out, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        assert main(["tree", "sample", "--n", "5", "--seed", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {21 if out == tmp_path else 2}] {reason}: {str(out)!r}\n"
+    assert not missing.parent.exists()
+
+
 def test_main_callable_directly(capsys) -> None:
     code = main(["cost", "dyads", "--n", "5"])
     assert code == 0

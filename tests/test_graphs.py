@@ -436,6 +436,29 @@ def test_threshold_dual_route_agreement_exhaustive_and_random() -> None:
     assert set(answers) == {True, False} and set(answers[-300:]) == {True, False}
 
 
+def test_threshold_by_forbidden_matches_the_subset_scan() -> None:
+    """The alternating-4-cycle test finds an induced P4, C4 or 2K2 exactly
+    when the 4-subset scan does: on every labelled graph with n <= 6 and on
+    3,000 seeded graphs with n = 7..12, half of them threshold graphs with
+    at most two edges flipped."""
+    shapes = (path_graph(4), cycle_graph(4), disjoint_union(path_graph(2), path_graph(2)))
+    table = set().union(*map(_labeled_copy_masks, shapes))
+    graphs = [_mask_graph(n, m) for n in range(7) for m in range(1 << comb(n, 2))]
+    rng = random.Random(21)
+    for i in range(3000):
+        n = 7 + i % 6
+        if i % 2:
+            g = _mask_graph(n, rng.getrandbits(comb(n, 2)))
+        else:
+            g = _threshold_build([rng.getrandbits(1) for _ in range(n)])
+            flip = rng.sample(list(combinations(range(1, n + 1), 2)), rng.randrange(3))
+            g = Graph(n, g.edges ^ frozenset(flip))
+        graphs.append(g)
+    answers = [is_threshold_by_forbidden(g) for g in graphs]
+    assert answers == [not _scan_reference(g, 4, table) for g in graphs]
+    assert set(answers) == {True, False} and set(answers[-3000:]) == {True, False}
+
+
 def test_connected_components() -> None:
     g = disjoint_union(path_graph(3), empty_graph(2))
     comps = connected_components(g)

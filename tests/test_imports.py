@@ -80,7 +80,6 @@ def test_every_private_name_is_used() -> None:
 # Caches that may grow without a maxsize, each with the reason its size is
 # bounded anyway.
 UNBOUNDED_CACHES = {
-    "_threshold_forbidden_levels": "takes no parameters, so it holds one entry",
     "_class_law": "its n is bounded by LIMITS['class_law_n'] at every public entry",
 }
 
@@ -119,5 +118,3 @@ def test_every_cache_has_an_integer_maxsize() -> None:
                 if size is not None and _constant_int(size) is None:
                     unbounded[node.name] = node
     assert sorted(unbounded) == sorted(UNBOUNDED_CACHES)
-    no_params = unbounded["_threshold_forbidden_levels"].args
-    assert not (no_params.posonlyargs or no_params.args or no_params.kwonlyargs)

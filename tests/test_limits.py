@@ -130,8 +130,8 @@ CASES = [
      "matrix output supports C(n,2) <= 16777216 bits (n <= 5793), got n=5794", False),
     ("cost_a_n", "29", randomness_cost_a,
      "bit cost a(n) supported for n <= 65536, got 65537", True),
-    ("cost_a_closed_n", "30", randomness_cost_a_closed,
-     "closed form of a(n) supported for n <= 8192, got 8193", False),
+    ("cost_a_n", "30", randomness_cost_a_closed,
+     "closed form of a(n) supported for n <= 65536, got 65537", False),
     ("exact_n", "31", lambda s: contains_induced(path_graph(s), path_graph(4)),
      "induced-subgraph search supported for hosts with n <= 12, got 13", True),
     ("exact_n", "32", lambda s: is_threshold_by_forbidden(path_graph(s)),

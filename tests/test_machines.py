@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import time
 from itertools import product
 from math import comb
@@ -307,3 +310,28 @@ def test_cli_build_over_edge_cap_exits_2_at_once(capsys) -> None:
     assert "may build 31996000 edges" in capsys.readouterr().err
     assert cli_main(["build", "--rule", "0>-,1>-", "--model", "full", "--x", "1" * 1449]) == 2
     assert cli_main(["build", "--rule", "0>-,1>-", "--model", "full", "--x", "1" * 1448]) == 0
+
+
+_HASH_SCRIPT = """
+from graphforge.machines import *
+rule = parse_rule("0>1,1>-")
+print(hash(NO_MEMORY), hash(FULL_MEMORY), hash(MODIFIABLE), hash(fading_memory(2)))
+print(hash(interpret(rule, FULL_MEMORY, "0110")), hash(interpret_modifiable(rule, "0110", "sssm")))
+"""
+
+
+def test_hashes_agree_between_processes() -> None:
+    """The models and traces hash alike in two processes with one
+    PYTHONHASHSEED, though their fields hold None, which hashes by address
+    before Python 3.12; equal values still hash alike."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 6
+    assert hash(fading_memory(2)) == hash(parse_model("fading")) and FULL_MEMORY != NO_MEMORY
+    trace = interpret_modifiable(parse_rule("0>1,1>-"), "0110", "sssm")
+    assert trace == copy.deepcopy(trace) and hash(trace) == hash(copy.deepcopy(trace))

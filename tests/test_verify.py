@@ -210,10 +210,21 @@ _WALK_CASES += [(fading_memory(2), FULL_RULES, 8), (MODIFIABLE, FULL_RULES, 6)]
 
 
 def test_shared_prefix_walk_matches_replay() -> None:
+    """Each length's runs equal the replays, in order, from a walk of that
+    length alone and from one pre-order walk over every length 0..max_n, in
+    which each run prefix comes before its extensions."""
     for model, rules, max_n in _WALK_CASES:
         for rule in rules:
+            every_length = list(machines._runs(rule, model, max_n, 0))
+            seen = set()
+            for trace in every_length:
+                assert (trace.x[:-1], (trace.choices or "")[:-1]) in seen or not trace.x
+                seen.add((trace.x, trace.choices or ""))
+            assert len(seen) == len(every_length)
             for n in range(max_n + 1):
-                assert list(machines._runs(rule, model, n)) == list(_runs_by_replay(rule, model, n))
+                replayed = list(_runs_by_replay(rule, model, n))
+                assert list(machines._runs(rule, model, n)) == replayed
+                assert [t for t in every_length if len(t.x) == n] == replayed
 
 
 def _public_rebuild(trace):
@@ -278,9 +289,10 @@ def test_walk_steps_every_prefix_once(monkeypatch) -> None:
         for rule in rules:
             b = len(_step_options(rule, model))
             for n in range(7):
-                calls = 0
-                list(machines._runs(rule, model, n))
-                assert calls == sum(b**t for t in range(1, n + 1)), (rule.mnemonic, str(model), n)
+                for shortest in (n, 0):
+                    calls = 0
+                    list(machines._runs(rule, model, n, shortest))
+                    assert calls == sum(b**t for t in range(1, n + 1)), (rule.mnemonic, str(model), n)
 
 
 def test_find_constructions_matches_order_free_reference() -> None:
@@ -404,3 +416,68 @@ def test_p5_reports_a_wrong_closed_form(monkeypatch) -> None:
     assert from_json(cx.expected[len("closed form "):]).edge_count == 6
     assert faulty.notes == clean.notes
     _assert_replays(cx)
+
+
+# Planted faults at three lengths: the counterexamples come in the order of
+# walking each rule one length at a time, (rule, length, run order).
+
+def _runs_length_by_length(rules, model, max_n: int):
+    return [trace for rule in rules for n in range(max_n + 1) for trace in machines._runs(rule, model, n)]
+
+
+def test_closed_form_faults_at_three_lengths_keep_the_report_order(monkeypatch) -> None:
+    lengths = {3, 5, 7}
+
+    def family(rule, x):
+        if len(x) in lengths and x.count("1") % 2 == 0:
+            return full_table_family(parse_rule("0>-,1>-" if rule.mnemonic != "0>-,1>-" else "0>E,1>E"), x)
+        return full_table_family(rule, x)
+
+    _, faulty = _planted(monkeypatch, "full_table_family", family, "P3", 7)
+    want = [
+        (t.rule.mnemonic, t.x)
+        for t in _runs_length_by_length(FULL_RULES, FULL_MEMORY, 7)
+        if len(t.x) in lengths and t.x.count("1") % 2 == 0 and family(t.rule, t.x).graph != t.final.graph
+    ]
+    assert [(cx.rule, cx.x) for cx in faulty.counterexamples] == want
+    assert len({len(x) for _, x in want}) == 3 and len({rule for rule, _ in want}) == 10
+    for cx in faulty.counterexamples:
+        _assert_replays(cx)
+
+
+def test_threshold_faults_at_three_lengths_keep_the_report_order(monkeypatch) -> None:
+    real = verify.is_threshold
+    _, faulty = _planted(monkeypatch, "is_threshold", lambda g: g.n not in {3, 5, 7} and real(g), "P2", 7)
+    per_run = [format(k, f"0{n}b") for n in (3, 5, 7) for k in range(2**n)]
+    assert [cx.x for cx in faulty.counterexamples] == per_run + [
+        "all strings of length 3", "all strings of length 5"
+    ]
+    for cx in faulty.counterexamples[: len(per_run)]:
+        assert (cx.rule, cx.expected) == ("0>E,1>-", "a threshold graph (elimination test)")
+        _assert_replays(cx)
+
+
+def test_rewrite_family_faults_at_three_lengths_keep_the_report_order(monkeypatch) -> None:
+    lengths = {3, 4, 6}
+    real = verify._rewrite_family_certificates
+    fake = lambda t: frozenset() if t in lengths else real(t)  # noqa: E731
+    _, faulty = _planted(monkeypatch, "_rewrite_family_certificates", fake, "C_modifiable", 6)
+    want = [
+        (t.rule.mnemonic, t.x, t.choices, step)
+        for t in _runs_length_by_length(FULL_RULES, MODIFIABLE, 6)
+        for step in machines.memory_modifiable_steps(t)
+        if step in lengths
+    ]
+    got = [(cx.rule, cx.x, cx.choices, int(cx.expected[5:cx.expected.index(" ")])) for cx in faulty.counterexamples]
+    assert got == want and {step for *_, step in want} == lengths
+
+
+def test_shape_and_forest_checks_decide_without_isomorphism(monkeypatch) -> None:
+    """Every named shape of P3 is met exactly under the label-sorting map,
+    and P5 compares component sizes, so neither calls is_isomorphic."""
+
+    def refuse(g, h):
+        raise AssertionError("is_isomorphic called")
+
+    monkeypatch.setattr(verify, "is_isomorphic", refuse)
+    assert verify_proposition("P3").passed and verify_proposition("P5").passed
