@@ -33,7 +33,7 @@ from .graphs import (
     to_dot,
     to_json,
 )
-from .machines import interpret, interpret_modifiable, parse_model, parse_rule
+from .machines import interpret, parse_model, parse_rule
 from .randomness import (
     Binomial,
     Uniform,
@@ -47,7 +47,7 @@ from .randomness import (
     sample_vertex_addition,
 )
 from .trees import sample_ua_parents, build_tree_from_instructions, is_recursive_tree, tree_cost
-from .verify import PROPOSITION_IDS, hierarchy_report, verify_proposition
+from .verify import CHECK_IDS, verify_proposition
 
 GRAPH_SPEC_HELP = (
     "graph spec: a named family (K4 complete, K2,3 complete bipartite, P5 path, "
@@ -128,14 +128,7 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    rule = parse_rule(args.rule)
-    model = parse_model(args.model)
-    if args.choices is not None and model.kind != "modifiable":
-        raise ValueError("--choices is only meaningful with --model modifiable")
-    if args.choices is not None:
-        trace = interpret_modifiable(rule, args.x, args.choices)
-    else:
-        trace = interpret(rule, model, args.x)
+    trace = interpret(parse_rule(args.rule), parse_model(args.model), args.x, args.choices)
     if args.trace:
         _emit(trace.to_json() + "\n", args.out)
     else:
@@ -144,10 +137,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.proposition == "hierarchy":
-        report = hierarchy_report() if args.max_n is None else hierarchy_report(args.max_n)
-    else:
-        report = verify_proposition(args.proposition, args.max_n)
+    report = verify_proposition(args.proposition, args.max_n)
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     _emit(text, args.out)
     return 0 if report.passed else 1
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "C_modifiable rewrite-step families; C_pnfree forbidden induced paths/cycles; "
         "hierarchy compares the reachable-class sets of the three memory models.",
     )
-    p_verify.add_argument("proposition", choices=PROPOSITION_IDS + ("hierarchy",))
+    p_verify.add_argument("proposition", choices=CHECK_IDS)
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
     p_verify.add_argument("--format", default="text", choices=("text", "json"))
     _add_out(p_verify)

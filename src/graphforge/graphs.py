@@ -221,8 +221,8 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
         if not (1 <= v <= g.n):
             raise ValueError(f"vertex {v} outside 1..{g.n}")
     index = {v: p + 1 for p, v in enumerate(vs)}
-    edges = {(index[i], index[j]) for i, j in g.edges if i in index and j in index}
-    return Graph(len(vs), frozenset(edges))
+    edges = frozenset((index[i], index[j]) for i, j in g.edges if i in index and j in index)
+    return _unchecked(Graph, n=len(vs), edges=edges)
 
 
 def relabel(g: Graph, perm: dict[int, int]) -> Graph:
@@ -510,7 +510,9 @@ def _class_law(n: int) -> dict[bytes, tuple[Graph, Fraction]]:
             attach = attach_mask << 1
             rows = tuple(r | (attach >> v & 1) << n for v, r in enumerate(g.rows)) + (attach,)
             key = f"{n}:{_canon_search(n, rows)[0]}".encode()
-            rep, q = law.get(key) or (add_vertex(g, _vertices(attach)), 0)
+            rep, q = law.get(key) or (
+                _unchecked(Graph, n=n, edges=g.edges | {(v, n) for v in _vertices(attach)}), 0
+            )
             law[key] = (rep, q + p * copies / (n * comb(n - 1, attach_mask.bit_count())))
     return law
 
@@ -532,16 +534,24 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
 # mask, so a prefix of a vertices is dropped as soon as its C(a, 2) bits match
 # the low bits of no table mask.
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=256)
 def _copy_levels(h: Graph) -> tuple[frozenset[int], ...]:
     """levels[a] (a = 0..k) holds the edge masks of h's labelled copies on
     k = |V(h)| vertices, restricted to vertices 1..a, so levels[k] is the
-    copy set.  The one source of labelled copies: the walk below, the
-    Monte-Carlo hit loop and distinct_labeled_copies read it, kept for the
-    16 patterns used last (an asymmetric 7-vertex pattern takes about 1 MB)."""
+    copy set.  Read by the walk below and, through _copy_set, by the hit
+    loop and distinct_labeled_copies, for k <= LIMITS["walk_k"] only: 256
+    tables hold all 208 classes on 1..6 vertices, at most 0.1 MB each."""
     full = _labeled_copy_masks(h)
     lows = ((1 << comb(a, 2)) - 1 for a in range(h.n + 1))
     return tuple(frozenset(c & low for c in full) for low in lows)
+
+
+def _copy_set(h: Graph) -> frozenset[int] | set[int]:
+    """h's labelled copies: its cached table's top level up to walk_k
+    vertices, else built for this call alone (7 vertices: up to 0.7 MB)."""
+    if h.n <= LIMITS["walk_k"]:
+        return _copy_levels(h)[-1]
+    return _labeled_copy_masks(h)
 
 
 def _induces_mask_in(g: Graph, levels: tuple[frozenset[int], ...]) -> bool:

@@ -23,8 +23,8 @@ What "earlier vertices labelled c" means depends on the memory model:
 
 _step is the step semantics: it places one vertex onto a run prefix and
 records the edges it adds. Two loops sit beside it. _run replays one run
-from step 1 on one mutable edge set (interpret, interpret_modifiable, the
-CLI's build). _runs walks the runs of one or more lengths depth-first; each
+from step 1 on one mutable edge set (interpret, and through it the CLI's
+build). _runs walks the runs of one or more lengths depth-first; each
 step branches over one fixed list of (bit, choice) options, so runs that
 share a prefix, across strings, choices and lengths alike, share its steps.
 _check_run refuses illegal runs before either loop starts.
@@ -290,12 +290,19 @@ def _check_instruction_string(x: str) -> tuple[int, ...]:
     return tuple(x.encode("ascii").translate(_BIT_VALUES))
 
 
-def interpret(rule: RuleSet, model: MemoryModel, x: str) -> ConstructionTrace:
+def interpret(rule: RuleSet, model: MemoryModel, x: str, choices=None) -> ConstructionTrace:
     """Run the construction. The empty string yields the empty graph and a
-    single-bit string yields K1 regardless of the rule."""
+    single-bit string yields K1 regardless of the rule. Only the modifiable
+    model takes `choices`, one s/m per step (or booleans, True for "m"; all
+    "s" when omitted): "m" replaces step t's JoinLabel_c by a rewrite that
+    joins every vertex labelled bit t to every c-labelled one so far."""
+    if choices is not None and model.kind != "modifiable":
+        raise ValueError(f"choices apply only to the modifiable model, not {model}")
     labels = _check_instruction_string(x)
+    if model.kind == "modifiable":
+        choices = "s" * len(x) if choices is None else _normalize_choices(choices, len(x))
     _check_run(rule, model, len(x))
-    return _run(rule, model, x, labels, "s" * len(x) if model.kind == "modifiable" else None)
+    return _run(rule, model, x, labels, choices)
 
 
 def _normalize_choices(choices, length: int) -> str:
@@ -313,17 +320,6 @@ def _normalize_choices(choices, length: int) -> str:
     if len(text) != length:
         raise ValueError(f"need one choice per step: {len(text)} choices for {length} steps")
     return text
-
-
-def interpret_modifiable(rule: RuleSet, x: str, choices) -> ConstructionTrace:
-    """Full-memory run where each step may be replaced by a label-pair
-    rewrite: with bit b and action JoinLabel_c, connect every b-labelled
-    vertex to every c-labelled vertex placed so far (the new vertex counts),
-    which can retroactively add edges between old vertices."""
-    labels = _check_instruction_string(x)
-    choices = _normalize_choices(choices, len(x))
-    _check_run(rule, MODIFIABLE, len(x))
-    return _run(rule, MODIFIABLE, x, labels, choices)
 
 
 def _check_run(rule: RuleSet, model: MemoryModel, n: int) -> None:

@@ -48,7 +48,7 @@ from .graphs import (
     complete_bipartite,
     is_isomorphic,
     _class_law,
-    _copy_levels,
+    _copy_set,
     _check_edge_cap,
     _check_limit,
     _vertices,
@@ -132,7 +132,7 @@ def distinct_labeled_copies(g: Graph) -> list[int]:
     in the colex encoding of `graphs` (dyad (i, j), i < j, at bit
     C(j-1, 2) + i-1); the count equals n!/|Aut(g)|."""
     _check_limit("copy_set_n", g.n, "labelled-copy enumeration supported for n <= {limit}")
-    return sorted(_copy_levels(g)[-1])
+    return sorted(_copy_set(g))
 
 
 def likelihood_exact(g: Graph) -> Fraction:
@@ -227,13 +227,12 @@ def _count_copies(g: Graph, masks) -> int:
     """How many of the drawn edge masks are copies of g: the one Monte-Carlo
     hit loop, shared by likelihood_mc and trees.tree_positivity_check.  For
     n <= LIMITS["copy_set_n"] a hit is membership in the set of g's labelled
-    copies, the last level of its cached table `graphs._copy_levels`.  Above
-    that, the edge count and degree sequence of the mask reject most draws
-    before a Graph is decoded for is_isomorphic.  Callers check their size
-    bounds before the first draw."""
+    copies, `graphs._copy_set`.  Above that, the edge count and degree
+    sequence of the mask reject most draws before a Graph is decoded for
+    is_isomorphic.  Callers check their size bounds before the first draw."""
     n = g.n
     if n <= LIMITS["copy_set_n"]:
-        return sum(map(_copy_levels(g)[-1].__contains__, masks))
+        return sum(map(_copy_set(g).__contains__, masks))
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]  # in mask-bit order
     stars = [sum(1 << k for k, pair in enumerate(pairs) if v in pair) for v in range(1, n + 1)]
     target_m = g.edge_count

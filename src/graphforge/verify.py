@@ -20,15 +20,18 @@ Check ids (CLI names in parentheses):
                            complete bipartite, or complete graph behind
   C_pnfree                 full-memory outputs never contain an induced path
                            or cycle on 5 or 6 vertices, though P4 and C4 occur
+  hierarchy                every memoryless class is reachable under both richer
+                           models; fading classes are compared with full memory
 
+verify_proposition runs any check by id; hierarchy_report runs hierarchy.
 The reachability helpers (enumerate_outputs, reachable_classes,
-find_constructions, expressiveness_count, hierarchy_report) answer which
-isomorphism classes each memory model can emit at all.
+find_constructions, expressiveness_count) answer which isomorphism classes
+each memory model can emit at all.
 
 Every check reads its machine runs from machines._runs, one walk per rule
 for all lengths 0..max_n (one trace per legal choice sequence under the
 modifiable model), and reports length by length; only the fixed worked
-examples of C_modifiable and C_pnfree call the interpreters directly.
+examples of C_modifiable and C_pnfree call interpret directly.
 P2, P3 and P5 share one table loop, _table_runs, which compares every
 output with its closed-form family.
 C_modifiable reads rewrite steps from the traces' edge records: steps only
@@ -84,7 +87,6 @@ from .machines import (
     RuleSet,
     fading_memory,
     interpret,
-    interpret_modifiable,
     memory_modifiable_steps,
     parse_rule,
     _runs,
@@ -205,7 +207,6 @@ def reachable_classes(model: MemoryModel, n: int) -> set[bytes]:
 
 def expressiveness_count(model: MemoryModel, n: int) -> int:
     """Number of isomorphism classes the model can emit on n vertices."""
-    _check_limit("reachability_n", n, "expressiveness counting supported for n <= {limit}")
     return len(reachable_classes(model, n))
 
 
@@ -228,25 +229,6 @@ def find_constructions(g: Graph, model: MemoryModel) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # proposition checks
 # ---------------------------------------------------------------------------
-
-def _run_check(name: str, check, rules, models, max_n: int) -> VerificationReport:
-    """Time check(max_n, cxs, notes), which appends its counterexamples and
-    notes and returns how many comparisons it made, and report the result."""
-    started = time.monotonic()
-    cxs: list[Counterexample] = []
-    notes: list[str] = []
-    checked = check(max_n, cxs, notes)
-    return VerificationReport(
-        proposition=name,
-        max_n=max_n,
-        rules=tuple(r.mnemonic for r in rules),
-        models=tuple(str(m) for m in models),
-        checked=checked,
-        counterexamples=tuple(cxs),
-        notes=tuple(notes),
-        wall_time=time.monotonic() - started,
-    )
-
 
 def _walk(rules, model: MemoryModel, max_n: int, cxs: list[Counterexample]):
     """Every run of each rule at lengths 0..max_n, one walk per rule, each
@@ -397,7 +379,7 @@ def _rewrite_family_certificates(n: int) -> frozenset[bytes]:
 def _verify_modifiable(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     families = [_rewrite_family_certificates(t) for t in range(max_n + 1)]
 
-    worked = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "ssssm")
+    worked = interpret(parse_rule("0>1,1>-"), MODIFIABLE, "00010", "ssssm")
     checked = 1
     star = is_isomorphic(worked.final.graph, complete_bipartite(1, 4))
     if star and memory_modifiable_steps(worked) == [5]:
@@ -475,31 +457,6 @@ def _verify_path_cycle_free(max_n: int, cxs: list[Counterexample], notes: list[s
     return checked
 
 
-# id -> (check, rules, models, default max_n, LIMITS entry of the largest max_n)
-_CHECKS = {
-    "P2": (_verify_no_memory, NO_MEMORY_RULES, (NO_MEMORY,), 10, "P2_n"),
-    "P3": (_verify_full_memory, FULL_RULES, (FULL_MEMORY,), 8, "P3_n"),
-    "P5": (_verify_fading_memory, FULL_RULES, (_FADING,), 8, "P5_n"),
-    "C_modifiable": (_verify_modifiable, FULL_RULES, (MODIFIABLE,), 6, "modifiable_n"),
-    "C_pnfree": (_verify_path_cycle_free, FULL_RULES, (FULL_MEMORY,), 8, "C_pnfree_n"),
-}
-
-
-def verify_proposition(proposition: str, max_n: int | None = None) -> VerificationReport:
-    """Run one check over all strings up to max_n (defaults per check)."""
-    try:
-        check, rules, models, default_n, limit_name = _CHECKS[proposition]
-    except KeyError:
-        raise ValueError(
-            f"unknown check {proposition!r}; expected one of {', '.join(PROPOSITION_IDS)}"
-        ) from None
-    bound = default_n if max_n is None else max_n
-    if bound < 0:
-        raise ValueError("max_n must be nonnegative")
-    _check_limit(limit_name, bound, proposition + " supports max_n <= {limit}")
-    return _run_check(proposition, check, rules, models, bound)
-
-
 def _compare_models(max_n: int, cxs: list[Counterexample], notes: list[str]) -> int:
     checked = 0
     by_model = [_reachable_with_witnesses(m, max_n, 0) for m in (NO_MEMORY, _FADING, FULL_MEMORY)]
@@ -518,15 +475,55 @@ def _compare_models(max_n: int, cxs: list[Counterexample], notes: list[str]) -> 
     return checked
 
 
-def hierarchy_report(max_n: int = 8) -> VerificationReport:
-    """Compare the class sets reachable per memory model at every size up to
-    max_n: the memoryless classes must embed into both richer models, and
-    the report records whether the fading classes embed into full memory
-    (they do not: fading memory reaches long induced paths that full-memory
-    outputs never contain)."""
-    if max_n < 0:
+# id -> (check, rules, models, default max_n, LIMITS entry of the largest max_n)
+_CHECKS = {
+    "P2": (_verify_no_memory, NO_MEMORY_RULES, (NO_MEMORY,), 10, "P2_n"),
+    "P3": (_verify_full_memory, FULL_RULES, (FULL_MEMORY,), 8, "P3_n"),
+    "P5": (_verify_fading_memory, FULL_RULES, (_FADING,), 8, "P5_n"),
+    "C_modifiable": (_verify_modifiable, FULL_RULES, (MODIFIABLE,), 6, "modifiable_n"),
+    "C_pnfree": (_verify_path_cycle_free, FULL_RULES, (FULL_MEMORY,), 8, "C_pnfree_n"),
+    "hierarchy": (_compare_models, FULL_RULES, (NO_MEMORY, _FADING, FULL_MEMORY), 8, "reachability_n"),
+}
+
+CHECK_IDS = tuple(_CHECKS)  # PROPOSITION_IDS, then hierarchy
+
+
+def _report(check_id: str, max_n: int | None) -> VerificationReport:
+    """Run a check of _CHECKS up to max_n (by default its row's): check(max_n,
+    cxs, notes) appends counterexamples and notes and returns how many
+    comparisons it made."""
+    if check_id not in _CHECKS:
+        raise ValueError(f"unknown check {check_id!r}; expected one of {', '.join(CHECK_IDS)}")
+    check, rules, models, default_n, limit_name = _CHECKS[check_id]
+    bound = default_n if max_n is None else max_n
+    if bound < 0:
         raise ValueError("max_n must be nonnegative")
-    _check_limit("reachability_n", max_n, "hierarchy comparison supported for max_n <= {limit}")
-    return _run_check(
-        "hierarchy", _compare_models, FULL_RULES, (NO_MEMORY, _FADING, FULL_MEMORY), max_n
+    _check_limit(limit_name, bound, check_id + " supports max_n <= {limit}")
+    started = time.monotonic()
+    cxs: list[Counterexample] = []
+    notes: list[str] = []
+    checked = check(bound, cxs, notes)
+    return VerificationReport(
+        proposition=check_id,
+        max_n=bound,
+        rules=tuple(r.mnemonic for r in rules),
+        models=tuple(str(m) for m in models),
+        checked=checked,
+        counterexamples=tuple(cxs),
+        notes=tuple(notes),
+        wall_time=time.monotonic() - started,
     )
+
+
+def verify_proposition(proposition: str, max_n: int | None = None) -> VerificationReport:
+    """Run one check of CHECK_IDS over all strings up to max_n (defaults per check)."""
+    return _report(proposition, max_n)
+
+
+def hierarchy_report(max_n: int | None = None) -> VerificationReport:
+    """The hierarchy check: compare the class sets reachable per memory
+    model at every size up to max_n (by default 8). The memoryless classes
+    must embed into both richer models, and the report records whether the
+    fading classes embed into full memory (they do not: fading memory
+    reaches long induced paths that full-memory outputs never contain)."""
+    return _report("hierarchy", max_n)

@@ -43,10 +43,10 @@ from graphforge.graphs import (
 )
 from graphforge.machines import (
     FULL_MEMORY,
+    MODIFIABLE,
     NO_MEMORY,
     fading_memory,
     interpret,
-    interpret_modifiable,
     parse_rule,
 )
 from graphforge.randomness import (
@@ -106,7 +106,7 @@ def test_criterion_03_forbidden_paths_and_cycles() -> None:
 
 def test_criterion_04_modifiable_families() -> None:
     report = verify_proposition("C_modifiable", 6)
-    worked = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "ssssm")
+    worked = interpret(parse_rule("0>1,1>-"), MODIFIABLE, "00010", "ssssm")
     star_ok = is_isomorphic(worked.final.graph, complete_bipartite(1, 4))
     ok = report.passed and star_ok
     _finish(

@@ -81,6 +81,7 @@ def test_build_modifiable_choices() -> None:
 
     r = run_cli("build", "--rule", "0>1,1>-", "--model", "full", "--x", "00010", "--choices", "ssssm")
     assert r.returncode == 2
+    assert r.stderr == "error: choices apply only to the modifiable model, not full\n"
 
 
 def test_build_trace_output() -> None:

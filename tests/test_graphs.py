@@ -39,6 +39,7 @@ from graphforge.graphs import (
     linear_forest,
     path_graph,
     relabel,
+    remove_last_vertex,
     to_bitstring,
     to_dot,
     to_json,
@@ -103,6 +104,39 @@ def test_induced_subgraph_and_relabel() -> None:
     assert is_isomorphic(relabel(g, perm), g)
     with pytest.raises(ValueError):
         relabel(g, {1: 1, 2: 2, 3: 3, 4: 4, 5: 4})
+
+
+def test_remove_last_vertex_inverts_add_vertex() -> None:
+    for n in range(6):
+        for g in enumerate_graph_classes(n):
+            for attach in range(1 << n):
+                grown = add_vertex(g, [v for v in range(1, n + 1) if attach >> (v - 1) & 1])
+                assert remove_last_vertex(grown) == g
+            if n:
+                assert add_vertex(remove_last_vertex(g), g.neighbors(n)) == g
+    with pytest.raises(ValueError) as exc:
+        remove_last_vertex(empty_graph(0))
+    assert str(exc.value) == "cannot remove a vertex from the empty graph"
+
+
+def test_built_graphs_equal_their_checked_rebuilds() -> None:
+    """The class law's first representatives and induced subgraphs are
+    built without re-validation; each equals, and hashes like, its checked
+    rebuild. induced_subgraph still checks the vertices it is given."""
+    for n in range(8):
+        for g in enumerate_graph_classes(n):
+            rebuilt = Graph(g.n, g.edges)
+            assert g == rebuilt and hash(g) == hash(rebuilt) and g.rows == rebuilt.rows
+            if n > 6:
+                continue
+            for k in range(n + 1):
+                for vs in combinations(range(1, n + 1), k):
+                    h = induced_subgraph(g, vs)
+                    assert h == Graph(h.n, h.edges) and hash(h) == hash(Graph(h.n, h.edges))
+    for vertices, bad in (([1, 6], 6), ([0, 2], 0)):
+        with pytest.raises(ValueError) as exc:
+            induced_subgraph(cycle_graph(5), vertices)
+        assert str(exc.value) == f"vertex {bad} outside 1..5"
 
 
 def test_isomorphism_small_cases() -> None:
@@ -281,7 +315,18 @@ def test_contains_induced() -> None:
     assert contains_induced(cycle_graph(6), path_graph(5))
 
 
-def test_contains_induced_matches_subset_certificates() -> None:
+def test_contains_induced_matches_subset_certificates(monkeypatch) -> None:
+    """Every class on at most 6 vertices against every pattern class on 1..6
+    vertices. The copy-table cache holds all 208 patterns, so each table is
+    built once."""
+    builds = []
+
+    def counted(h: Graph) -> set[int]:
+        builds.append(h)
+        return _labeled_copy_masks(h)
+
+    _copy_levels.cache_clear()
+    monkeypatch.setattr(graphs_module, "_labeled_copy_masks", counted)
     answers = []
     for g in (g for n in range(7) for g in enumerate_graph_classes(n)):
         for k in range(1, 7):
@@ -293,6 +338,7 @@ def test_contains_induced_matches_subset_certificates() -> None:
                 answers.append(contains_induced(g, h))
                 assert answers[-1] == (canonical_form(h) in subset_certs), (g, h)
     assert any(answers) and not all(answers)
+    assert len(builds) == len(set(builds)) == 208
 
 
 def _scan_reference(g: Graph, k: int, table) -> bool:
@@ -377,6 +423,28 @@ def test_copy_tables_are_built_once_per_pattern(monkeypatch) -> None:
     for mask in range(maxsize + 4):
         distinct_labeled_copies(_mask_graph(5, mask))
     assert _copy_levels.cache_info().currsize == maxsize
+
+
+def test_copy_sets_above_walk_k_are_built_per_call(monkeypatch) -> None:
+    """A 7-vertex copy set is built for each call and not kept: the cached
+    tables stay those of patterns with at most walk_k vertices."""
+    builds = []
+
+    def counted(h: Graph) -> set[int]:
+        builds.append(h)
+        return _labeled_copy_masks(h)
+
+    monkeypatch.setattr(graphs_module, "_labeled_copy_masks", counted)
+    _copy_levels.cache_clear()
+    seven = add_vertex(path_graph(6), [2, 4])
+    first = distinct_labeled_copies(seven)
+    assert distinct_labeled_copies(seven) == first
+    assert likelihood_mc(seven, 200, 3).hits == likelihood_mc(seven, 200, 3).hits
+    assert builds == [seven] * 4 and _copy_levels.cache_info().currsize == 0
+    assert len(first) == factorial(7) // automorphism_count(seven)
+    distinct_labeled_copies(path_graph(6))
+    distinct_labeled_copies(path_graph(6))
+    assert builds[4:] == [path_graph(6)] and _copy_levels.cache_info().currsize == 1
 
 
 def test_contains_induced_checks_the_isomorphism_bound() -> None:

@@ -110,10 +110,10 @@ CASES = [
      "construction search bounds: n <= 12, modifiable n <= 7", False),
     ("modifiable_n", "17", lambda s: verify_proposition("C_modifiable", s),
      "C_modifiable supports max_n <= 7", False),
-    ("reachability_n", "18", lambda s: expressiveness_count(FULL_MEMORY, s),
-     "expressiveness counting supported for n <= 8", False),
+    ("reachability_n", "18", lambda s: verify_proposition("hierarchy", s),
+     "hierarchy supports max_n <= 8", False),
     ("reachability_n", "19", hierarchy_report,
-     "hierarchy comparison supported for max_n <= 8", False),
+     "hierarchy supports max_n <= 8", False),
     ("P2_n", "20", lambda s: verify_proposition("P2", s), "P2 supports max_n <= 10", False),
     ("P3_n", "21", lambda s: verify_proposition("P3", s), "P3 supports max_n <= 8", False),
     ("P5_n", "22", lambda s: verify_proposition("P5", s), "P5 supports max_n <= 8", False),
@@ -136,6 +136,8 @@ CASES = [
      "induced-subgraph search supported for hosts with n <= 12, got 13", True),
     ("exact_n", "32", lambda s: is_threshold_by_forbidden(path_graph(s)),
      "forbidden-subgraph threshold test supported for n <= 12, got 13", True),
+    ("enumeration_n", "expressiveness_count", lambda s: expressiveness_count(FULL_MEMORY, s),
+     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
 ]
 IDS = [f"{entry}-{name}" for entry, name, *_ in CASES]
 ROWS = [(entry, call, message, cheap) for entry, _, call, message, cheap in CASES]
@@ -216,7 +218,7 @@ def test_copy_set_n_chooses_the_hit_loop_route(monkeypatch) -> None:
     def refuse(g):
         raise AssertionError("targets above copy_set_n are not matched by copy set")
 
-    monkeypatch.setattr(randomness, "_copy_levels", refuse)
+    monkeypatch.setattr(randomness, "_copy_set", refuse)
     monkeypatch.setitem(LIMITS, "copy_set_n", 2)
     assert likelihood_mc(target, 300, 5).hits == hits
 

@@ -40,7 +40,6 @@ from graphforge.machines import (
     canonical_rule,
     fading_memory,
     interpret,
-    interpret_modifiable,
     is_memory_modifiable_output,
     memory_modifiable_steps,
     parse_model,
@@ -161,14 +160,14 @@ def test_modifiable_all_stay_puts_matches_full_memory() -> None:
     rule = parse_rule("0>1,1>0")
     for x in ("0", "01", "0110", "010101"):
         plain = interpret(rule, FULL_MEMORY, x)
-        mod = interpret_modifiable(rule, x, "s" * len(x))
+        mod = interpret(rule, MODIFIABLE, x, "s" * len(x))
         assert mod.final.graph == plain.final.graph
 
 
 def test_modifiable_worked_example() -> None:
     # modify at the last step: the final 0 joins all earlier vertices to
     # the lone 1-labelled vertex, completing a star on five vertices
-    t = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "ssssm")
+    t = interpret(parse_rule("0>1,1>-"), MODIFIABLE, "00010", "ssssm")
     assert is_isomorphic(t.final.graph, complete_bipartite(1, 4))
     assert memory_modifiable_steps(t) == [5]
     assert is_memory_modifiable_output(t)
@@ -193,46 +192,68 @@ def test_rewrite_steps_from_edge_records_match_isomorphism_definition() -> None:
                 x = "".join(bits)
                 options = ["sm" if rule.action_for(int(b)).join_target is not None else "s" for b in x]
                 for choices in product(*options):
-                    trace = interpret_modifiable(rule, x, "".join(choices))
+                    trace = interpret(rule, MODIFIABLE, x, "".join(choices))
                     assert memory_modifiable_steps(trace) == _rewrite_steps_by_isomorphism(trace)
                     traces += 1
     assert traces == 21136
 
 
 def test_modifiable_stay_put_is_not_flagged() -> None:
-    t = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "sssss")
+    t = interpret(parse_rule("0>1,1>-"), MODIFIABLE, "00010", "sssss")
     assert memory_modifiable_steps(t) == []
     assert not is_memory_modifiable_output(t)
 
 
 def test_modify_rejected_outside_join_actions() -> None:
     with pytest.raises(ModifyUnsupported):
-        interpret_modifiable(parse_rule("0>E,1>-"), "00", "sm")
+        interpret(parse_rule("0>E,1>-"), MODIFIABLE, "00", "sm")
     with pytest.raises(ModifyUnsupported):
-        interpret_modifiable(parse_rule("0>-,1>-"), "0", "m")
+        interpret(parse_rule("0>-,1>-"), MODIFIABLE, "0", "m")
 
 
 def test_modifiable_choice_validation() -> None:
     with pytest.raises(ValueError):
-        interpret_modifiable(parse_rule("0>1,1>-"), "0010", "ss")
+        interpret(parse_rule("0>1,1>-"), MODIFIABLE, "0010", "ss")
     with pytest.raises(ValueError):
-        interpret_modifiable(parse_rule("0>1,1>-"), "0010", "ssxq")
+        interpret(parse_rule("0>1,1>-"), MODIFIABLE, "0010", "ssxq")
 
 
 def test_choice_lists_must_be_booleans() -> None:
     """A list of choices holds booleans, True for a rewrite; anything else
     is refused before the first step, however truthy it is."""
     rule = parse_rule("0>1,1>0")
-    assert interpret_modifiable(rule, "01", [False, True]) == interpret_modifiable(rule, "01", "sm")
-    assert interpret_modifiable(rule, "0101", iter([True] * 4)).choices == "mmmm"
+    assert interpret(rule, MODIFIABLE, "01", [False, True]) == interpret(rule, MODIFIABLE, "01", "sm")
+    assert interpret(rule, MODIFIABLE, "0101", iter([True] * 4)).choices == "mmmm"
     bad = [["s"] * 4, [0, 1, 0, 1], [1, True, False, False], [None] * 4]
     for choices in bad:
         with pytest.raises(ValueError, match="choices must be an s/m string or booleans"):
-            interpret_modifiable(rule, "0101", choices)
+            interpret(rule, MODIFIABLE, "0101", choices)
     # "s" strings once read as rewrites and failed at the first NoEdge step
     with pytest.raises(ValueError) as exc:
-        interpret_modifiable(parse_rule("0>1,1>-"), "00010", ["s"] * 5)
+        interpret(parse_rule("0>1,1>-"), MODIFIABLE, "00010", ["s"] * 5)
     assert not isinstance(exc.value, ModifyUnsupported)
+
+
+def test_choices_apply_only_under_the_modifiable_model() -> None:
+    """interpret refuses choices, of any form, under none, full and
+    fading(2), before its other checks; under the modifiable model omitted
+    choices are all "s", and booleans are accepted."""
+    cases = [(NO_MEMORY, "0>E,1>-"), (FULL_MEMORY, "0>1,1>0"), (fading_memory(2), "0>1,1>0")]
+    cases.append((NO_MEMORY, "0>1,1>0"))  # refused for its choices before its label joins
+    for model, mnemonic in cases:
+        rule = parse_rule(mnemonic)
+        for choices in ("ss", "sm", "", [False, False], [True, False], "xyz"):
+            with pytest.raises(ValueError) as exc:
+                interpret(rule, model, "01", choices)
+            assert str(exc.value) == f"choices apply only to the modifiable model, not {model}"
+    rule = parse_rule("0>1,1>0")
+    for x in ("", "0", "0110", "01011"):
+        omitted = interpret(rule, MODIFIABLE, x)
+        assert omitted == interpret(rule, MODIFIABLE, x, "s" * len(x))
+        assert omitted == interpret(rule, MODIFIABLE, x, [False] * len(x))
+        assert omitted.choices == "s" * len(x)
+        assert omitted.steps == interpret(rule, FULL_MEMORY, x).steps
+    assert interpret(rule, MODIFIABLE, "0110", (False, True, False, True)).choices == "smsm"
 
 
 def test_labeled_graph_checks_its_labels() -> None:
@@ -275,7 +296,7 @@ def test_step_records_are_their_field_tuples() -> None:
     assert (rec.step, rec.bit, rec.action, rec.modified, rec.edges_added) == fields
     for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
         assert type(clone) is StepRecord and clone == rec and hash(clone) == hash(rec)
-    trace = interpret_modifiable(parse_rule("0>1,1>-"), "00010", "ssssm")
+    trace = interpret(parse_rule("0>1,1>-"), MODIFIABLE, "00010", "ssssm")
     assert pickle.loads(pickle.dumps(trace)) == trace == copy.deepcopy(trace)
 
 
@@ -298,7 +319,7 @@ def test_build_edge_cap_boundary() -> None:
     with pytest.raises(ValueError, match="may build 1049076 edges"):
         interpret(rule, FULL_MEMORY, "0" * 1449)
     with pytest.raises(ValueError, match="may build"):
-        interpret_modifiable(parse_rule("0>1,1>-"), "0" * 1449, "s" * 1449)
+        interpret(parse_rule("0>1,1>-"), MODIFIABLE, "0" * 1449, "s" * 1449)
     # fading(2) label joins add at most n - 1 edges; DominateAll lifts that
     assert interpret(parse_rule("0>1,1>0"), fading_memory(2), "01" * 4000).final.graph.edge_count == 7999
 
@@ -316,7 +337,7 @@ _HASH_SCRIPT = """
 from graphforge.machines import *
 rule = parse_rule("0>1,1>-")
 print(hash(NO_MEMORY), hash(FULL_MEMORY), hash(MODIFIABLE), hash(fading_memory(2)))
-print(hash(interpret(rule, FULL_MEMORY, "0110")), hash(interpret_modifiable(rule, "0110", "sssm")))
+print(hash(interpret(rule, FULL_MEMORY, "0110")), hash(interpret(rule, MODIFIABLE, "0110", "sssm")))
 """
 
 
@@ -333,5 +354,5 @@ def test_hashes_agree_between_processes() -> None:
     ]
     assert outputs[0] == outputs[1] and len(outputs[0].split()) == 6
     assert hash(fading_memory(2)) == hash(parse_model("fading")) and FULL_MEMORY != NO_MEMORY
-    trace = interpret_modifiable(parse_rule("0>1,1>-"), "0110", "sssm")
+    trace = interpret(parse_rule("0>1,1>-"), MODIFIABLE, "0110", "sssm")
     assert trace == copy.deepcopy(trace) and hash(trace) == hash(copy.deepcopy(trace))

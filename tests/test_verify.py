@@ -32,12 +32,13 @@ from graphforge.machines import (
     StepRecord,
     fading_memory,
     interpret,
-    interpret_modifiable,
+    parse_model,
     parse_rule,
 )
 from graphforge import machines, verify
 from graphforge.families import fading_table_family, full_table_family
 from graphforge.verify import (
+    CHECK_IDS,
     PROPOSITION_IDS,
     enumerate_outputs,
     expressiveness_count,
@@ -196,13 +197,13 @@ def _step_options(rule, model):
 
 def _runs_by_replay(rule, model, n: int):
     """Every run as a product over the per-step options, each replayed from
-    step 1 through the interpreters."""
+    step 1 through interpret, which takes choices under the modifiable
+    model only."""
+    modifiable = model.kind == "modifiable"
     for run in product(_step_options(rule, model), repeat=n):
         x = "".join(str(bit) for bit, _ in run)
-        if model.kind == "modifiable":
-            yield interpret_modifiable(rule, x, "".join(choice for _, choice in run))
-        else:
-            yield interpret(rule, model, x)
+        choices = "".join(choice for _, choice in run)
+        yield interpret(rule, model, x, choices if modifiable else None)
 
 
 _WALK_CASES = [(NO_MEMORY, NO_MEMORY_RULES, 8), (FULL_MEMORY, FULL_RULES, 8)]
@@ -262,14 +263,13 @@ def test_long_run_traces_equal_their_public_rebuilds() -> None:
             except ValueError:
                 n = 400
             x = "".join(rng.choice("01") for _ in range(n))
+            choices = None
             if model.kind == "modifiable":
                 joins = {bit for bit in (0, 1) if rule.action_for(bit).join_target is not None}
                 choices = "".join(
                     "m" if int(b) in joins and rng.random() < 0.05 else "s" for b in x
                 )
-                trace = interpret_modifiable(rule, x, choices)
-            else:
-                trace = interpret(rule, model, x)
+            trace = interpret(rule, model, x, choices)
             rebuilt = _public_rebuild(trace)
             assert trace == rebuilt and hash(trace) == hash(rebuilt), (rule.mnemonic, str(model))
             assert len(trace.steps) == n
@@ -341,13 +341,15 @@ def test_rewrite_family_certificates_match_the_isomorphism_scan() -> None:
 # failure paths: one planted fault per check stage
 # ---------------------------------------------------------------------------
 
-MODELS_BY_NAME = {"none": NO_MEMORY, "full": FULL_MEMORY, "fading(2)": fading_memory(2)}
+def _replay(cx):
+    """The run a counterexample names, rebuilt by one interpret call."""
+    return interpret(parse_rule(cx.rule), parse_model(cx.model), cx.x, cx.choices)
 
 
 def _assert_replays(cx) -> None:
-    """The counterexample's rule, model and string rebuild the graph it reports."""
-    got = interpret(parse_rule(cx.rule), MODELS_BY_NAME[cx.model], cx.x).final.graph
-    assert got == from_json(cx.got), cx
+    """The counterexample's rule, model, string and choices rebuild the
+    graph it reports."""
+    assert _replay(cx).final.graph == from_json(cx.got), cx
 
 
 def _planted(monkeypatch, name: str, fake, proposition: str, max_n: int):
@@ -470,6 +472,9 @@ def test_rewrite_family_faults_at_three_lengths_keep_the_report_order(monkeypatc
     ]
     got = [(cx.rule, cx.x, cx.choices, int(cx.expected[5:cx.expected.index(" ")])) for cx in faulty.counterexamples]
     assert got == want and {step for *_, step in want} == lengths
+    # a rewrite-family counterexample reports the graph after its step
+    for cx, (*_, step) in zip(faulty.counterexamples, got):
+        assert _replay(cx).graphs_per_step()[step] == from_json(cx.got), cx
 
 
 def test_shape_and_forest_checks_decide_without_isomorphism(monkeypatch) -> None:
@@ -481,3 +486,72 @@ def test_shape_and_forest_checks_decide_without_isomorphism(monkeypatch) -> None
 
     monkeypatch.setattr(verify, "is_isomorphic", refuse)
     assert verify_proposition("P3").passed and verify_proposition("P5").passed
+
+
+def test_run_counterexamples_replay_through_one_interpret_call(monkeypatch) -> None:
+    """Every counterexample built from a run, under planted faults in P2,
+    P3, P5, C_modifiable, C_pnfree and hierarchy and from hierarchy's own
+    escapes, replays through one interpret call whatever its model: the
+    graph it reports is the run's final graph, or the graph after the step
+    it names."""
+    real_rewrites = verify._rewrite_family_certificates
+    real_contains = verify.contains_induced
+    real_witnesses = verify._reachable_with_witnesses
+
+    def witnesses(model, n, shortest=None):
+        # every other class of the two richer models goes missing
+        levels = real_witnesses(model, n, shortest)
+        if model.kind == "none":
+            return levels
+        return [{c: t for k, (c, t) in enumerate(sorted(lvl.items())) if k % 2} for lvl in levels]
+
+    faults = [
+        ("full_table_family",
+         lambda rule, x: full_table_family(parse_rule("0>-,1>-" if x.count("1") == 2 else rule.mnemonic), x),
+         ("P2", "P3")),
+        ("fading_table_family",
+         lambda rule, x: fading_table_family(parse_rule("0>E,1>E" if len(x) == 4 else rule.mnemonic), x),
+         ("P5",)),
+        ("_rewrite_family_certificates", lambda t: frozenset() if t == 4 else real_rewrites(t), ("C_modifiable",)),
+        ("contains_induced", lambda g, h: g.n == 6 or real_contains(g, h), ("C_pnfree",)),
+        ("_reachable_with_witnesses", witnesses, ("hierarchy",)),
+    ]
+    reports = [hierarchy_report(6)]
+    for name, fake, checks in faults:
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, fake)
+            reports += [verify_proposition(check, 6) for check in checks]
+    models = set()
+    for report in reports:
+        assert report.counterexamples, report.proposition
+        for cx in report.counterexamples:
+            step = int(cx.expected[5:cx.expected.index(" ")]) if cx.expected.startswith("step-") else -1
+            assert _replay(cx).graphs_per_step()[step] == from_json(cx.got), (report.proposition, cx)
+            models.add(cx.model)
+    assert models == {"none", "full", "fading(2)", "modifiable"}
+
+
+def test_hierarchy_is_a_row_of_the_check_table() -> None:
+    assert CHECK_IDS == PROPOSITION_IDS + ("hierarchy",)
+    for n in range(9):
+        by_id, by_name = verify_proposition("hierarchy", n), hierarchy_report(n)
+        assert by_id.to_json() == by_name.to_json() and by_id.to_text() == by_name.to_text()
+    assert hierarchy_report().max_n == verify_proposition("hierarchy").max_n == 8
+    for call in (hierarchy_report, lambda n: verify_proposition("hierarchy", n)):
+        with pytest.raises(ValueError, match=r"^hierarchy supports max_n <= 8$"):
+            call(9)
+        with pytest.raises(ValueError, match=r"^max_n must be nonnegative$"):
+            call(-1)
+    with pytest.raises(ValueError) as exc:
+        verify_proposition("P99")
+    assert str(exc.value) == (
+        "unknown check 'P99'; expected one of P2, P3, P5, C_modifiable, C_pnfree, hierarchy"
+    )
+
+
+def test_expressiveness_count_reads_the_enumeration_bound() -> None:
+    assert expressiveness_count(FULL_MEMORY, 9) == 510
+    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+        expressiveness_count(FULL_MEMORY, 13)
+    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+        expressiveness_count(MODIFIABLE, 8)
