@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import comb
 
 from .graphs import (
     LIMITS,
@@ -32,6 +33,7 @@ from .graphs import (
     to_bitstring,
     to_dot,
     to_json,
+    _check_edge_cap,
 )
 from .machines import interpret, parse_model, parse_rule
 from .randomness import (
@@ -56,27 +58,23 @@ GRAPH_SPEC_HELP = (
 
 
 def parse_graph_spec(text: str) -> Graph:
-    """Parse the CLI graph grammar documented in GRAPH_SPEC_HELP."""
+    """Parse the CLI graph grammar documented in GRAPH_SPEC_HELP. A named
+    family with more edges than LIMITS["build_edges"] is refused before it
+    is built."""
     t = text.strip()
     if t.startswith("{"):
         return from_json(t)
     m = re.fullmatch(r"([KPCEkpce])\s*(\d+)\s*(?:,\s*(\d+))?", t)
     if not m:
         raise ValueError(f"cannot parse graph spec {text!r}; {GRAPH_SPEC_HELP}")
-    kind = m.group(1).upper()
-    a = int(m.group(2))
-    b = int(m.group(3)) if m.group(3) is not None else None
+    kind, a, b = m.group(1).upper(), int(m.group(2)), m.group(3)
+    if b is not None and kind != "K":
+        raise ValueError(f"two-part sizes are only valid for K, got {text!r}")
+    edges = {"K": comb(a, 2), "P": a - 1, "C": a, "E": 0}[kind] if b is None else a * int(b)
+    _check_edge_cap(edges, f"graph spec {t!r}")
     if b is not None:
-        if kind != "K":
-            raise ValueError(f"two-part sizes are only valid for K, got {text!r}")
-        return complete_bipartite(a, b)
-    if kind == "K":
-        return complete_graph(a)
-    if kind == "P":
-        return path_graph(a)
-    if kind == "C":
-        return cycle_graph(a)
-    return empty_graph(a)
+        return complete_bipartite(a, int(b))
+    return {"K": complete_graph, "P": path_graph, "C": cycle_graph, "E": empty_graph}[kind](a)
 
 
 def _parse_probability(text: str) -> Fraction:
@@ -282,7 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
         "hierarchy compares the reachable-class sets of the three memory models.",
     )
     p_verify.add_argument("proposition", choices=CHECK_IDS)
-    p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p_verify.add_argument(
+        "--max-n", type=int, default=None, dest="max_n",
+        help=f"longest instruction string, by default the check's own "
+        f"(n <= {LIMITS['enumeration_n']}; C_modifiable n <= {LIMITS['modifiable_n']})",
+    )
     p_verify.add_argument("--format", default="text", choices=("text", "json"))
     _add_out(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)

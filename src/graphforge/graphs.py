@@ -37,15 +37,10 @@ LIMITS = {
     "class_law_n": 7,  # the class law pushes every class through 2^(n-1) attach sets
     "copy_set_n": 7,  # a labelled-copy set iterates all n! permutations
     "labelled_trees_n": 7,  # Pruefer enumeration decodes all n^(n-2) codes
-    "enumeration_n": 12,  # 2^n strings per rule, each output certified
-    "modifiable_n": 7,  # up to 4^n (string, choice) runs per rule
-    "reachability_n": 8,  # every run of three memory models, each output certified
-    "P2_n": 10,  # 2^n no-memory strings, threshold tests on each output
-    "P3_n": 8,  # 2^n full-memory strings per rule, shape isomorphism on each
-    "P5_n": 8,  # 2^n fading-memory strings per rule, forest isomorphism on each
-    "C_pnfree_n": 8,  # four induced-subgraph searches per full-memory class
+    "enumeration_n": 12,  # every walk of 2^n strings per rule: each verify check and reachability helper
+    "modifiable_n": 7,  # the same walks under the modifiable model: up to 4^n (string, choice) runs per rule
     "walk_k": 6,  # induced-subgraph prefix tables hold k! labelled copies each
-    "build_edges": 1 << 20,  # edges one machine run or sample may build
+    "build_edges": 1 << 20,  # edges one machine run, sample or named graph spec may build
     "matrix_bits": 1 << 24,  # matrix output writes one character per vertex pair
     "cost_a_n": 65_536,  # a(n) and its closed form step a binomial of about n bits n times
 }

@@ -26,7 +26,9 @@ Check ids (CLI names in parentheses):
 verify_proposition runs any check by id; hierarchy_report runs hierarchy.
 The reachability helpers (enumerate_outputs, reachable_classes,
 find_constructions, expressiveness_count) answer which isomorphism classes
-each memory model can emit at all.
+each memory model can emit at all. Checks and helpers share one bound on
+the walk: LIMITS["enumeration_n"], or "modifiable_n" under the modifiable
+model.
 
 Every check reads its machine runs from machines._runs, one walk per rule
 for all lengths 0..max_n (one trace per legal choice sequence under the
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 from .families import (
@@ -74,7 +77,6 @@ from .graphs import (
     is_threshold_by_forbidden,
     path_graph,
     to_json,
-    _check_limit,
 )
 from .machines import (
     FULL_MEMORY,
@@ -163,20 +165,32 @@ def _rules_for(model: MemoryModel) -> tuple[RuleSet, ...]:
     return NO_MEMORY_RULES if model.kind == "none" else FULL_RULES
 
 
-def _check_enumeration_bound(model: MemoryModel, n: int, what: str) -> None:
-    if n < 0:
-        raise ValueError(f"{what} needs n >= 0, got {n}")
-    limit, modifiable = LIMITS["enumeration_n"], LIMITS["modifiable_n"]
-    if n > limit or (model.kind == "modifiable" and n > modifiable):
-        raise ValueError(f"{what} bounds: n <= {limit}, modifiable n <= {modifiable}")
+# a walk's refusals of n < 0 and of n above its bound
+_WALK_REFUSALS = ("{what} needs n >= 0, got {n}",
+                  "{what} bounds: n <= {enumeration_n}, modifiable n <= {modifiable_n}")
 
 
-def _counterexample(trace: ConstructionTrace, expected: str) -> Counterexample:
+def _check_walk_bound(model: MemoryModel, n: int, what: str, refusals=_WALK_REFUSALS) -> None:
+    """Refuse, before any work, a walk over the model's runs to length n.
+    Every check and reachability helper reads its bound here: modifiable_n
+    under the modifiable model, else enumeration_n. A refusal may name what,
+    n, the bound as limit, and any LIMITS entry."""
+    limit = LIMITS["modifiable_n" if model.kind == "modifiable" else "enumeration_n"]
+    if not 0 <= n <= limit:
+        raise ValueError(refusals[n > limit].format(what=what, n=n, limit=limit, **LIMITS))
+
+
+# what a report keeps of a run: rule, model, x and choices replay it, graph is its output
+_Witness = namedtuple("_Witness", "rule model x choices graph")
+
+
+def _witness(trace: ConstructionTrace) -> _Witness:
+    return _Witness(trace.rule, trace.model, trace.x, trace.choices, trace.final.graph)
+
+
+def _counterexample(run: _Witness, expected: str) -> Counterexample:
     """The run, replayable from its rule, string and choices, with its output."""
-    return Counterexample(
-        trace.rule.mnemonic, str(trace.model), trace.x, trace.choices, expected,
-        to_json(trace.final.graph),
-    )
+    return Counterexample(run.rule.mnemonic, str(run.model), run.x, run.choices, expected, to_json(run.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +199,26 @@ def _counterexample(trace: ConstructionTrace, expected: str) -> Counterexample:
 
 def _reachable_with_witnesses(model: MemoryModel, n: int, shortest: int | None = None) -> list[dict]:
     """Indexed by string length, shortest (by default n) to n: canonical
-    certificate -> first run (in rule, then _runs order) reaching it."""
-    out: list[dict[bytes, ConstructionTrace]] = [{} for _ in range(n + 1)]
+    certificate -> witness of the first run (in rule, then _runs order)
+    reaching it."""
+    out: list[dict[bytes, _Witness]] = [{} for _ in range(n + 1)]
     for rule in _rules_for(model):
         for trace in _runs(rule, model, n, shortest):
-            out[len(trace.x)].setdefault(canonical_form(trace.final.graph), trace)
+            level, cert = out[len(trace.x)], canonical_form(trace.final.graph)
+            if cert not in level:
+                level[cert] = _witness(trace)
     return out
 
 
 def enumerate_outputs(rule: RuleSet, model: MemoryModel, n: int) -> set[bytes]:
     """Canonical forms of every output of the rule at string length n."""
-    _check_enumeration_bound(model, n, "output enumeration")
+    _check_walk_bound(model, n, "output enumeration")
     return {canonical_form(trace.final.graph) for trace in _runs(rule, model, n)}
 
 
 def reachable_classes(model: MemoryModel, n: int) -> set[bytes]:
     """Canonical forms reachable under any rule legal for the model."""
-    _check_enumeration_bound(model, n, "output enumeration")
+    _check_walk_bound(model, n, "output enumeration")
     return set(_reachable_with_witnesses(model, n)[n])
 
 
@@ -214,7 +231,7 @@ def find_constructions(g: Graph, model: MemoryModel) -> list[tuple[str, str]]:
     """All (rule, x) whose output is isomorphic to g, in rule order with
     strings ascending; for the modifiable model a pair is included when
     some choice sequence reaches g."""
-    _check_enumeration_bound(model, g.n, "construction search")
+    _check_walk_bound(model, g.n, "construction search")
     hits: list[tuple[str, str]] = []
     for rule in _rules_for(model):
         # a string is tested until its first hit
@@ -251,7 +268,7 @@ def _table_runs(model: MemoryModel, family, max_n: int, cxs: list[Counterexample
         want = family(trace.rule, trace.x)
         matches = trace.final.graph == want.graph and trace.final.labels == want.labels
         if not matches:
-            found.append(_counterexample(trace, f"closed form {to_json(want.graph)}"))
+            found.append(_counterexample(_witness(trace), f"closed form {to_json(want.graph)}"))
         yield trace, matches, found
 
 
@@ -266,30 +283,20 @@ def _verify_no_memory(max_n: int, cxs: list[Counterexample], notes: list[str]) -
             continue
         g = trace.final.graph
         if not is_threshold(g):
-            found.append(_counterexample(trace, "a threshold graph (elimination test)"))
+            found.append(_counterexample(_witness(trace), "a threshold graph (elimination test)"))
         if not is_threshold_by_forbidden(g):
-            found.append(_counterexample(trace, "a threshold graph (forbidden-subgraph test)"))
+            found.append(_counterexample(_witness(trace), "a threshold graph (forbidden-subgraph test)"))
         reached[g.n].add(canonical_form(g))
     for n, seen in enumerate(reached):
-        everywhere = f"all strings of length {n}"
-        if n >= 1 and len(seen) != 2 ** (n - 1):
-            cxs.append(
-                Counterexample(
-                    "0>E,1>-", "none", everywhere, None,
-                    f"exactly {2 ** (n - 1)} distinct classes", str(len(seen)),
-                )
-            )
+        everywhere = ("0>E,1>-", "none", f"all strings of length {n}", None)
+        if n >= 1 and len(seen) != (count := 2 ** (n - 1)):
+            cxs.append(Counterexample(*everywhere, f"exactly {count} distinct classes", str(len(seen))))
         if n <= 6:
             wanted = {canonical_form(c) for c in enumerate_graph_classes(n) if is_threshold(c)}
             checked += 1
             if seen != wanted:
-                cxs.append(
-                    Counterexample(
-                        "0>E,1>-", "none", everywhere, None,
-                        "exactly the threshold isomorphism classes",
-                        f"{len(seen)} classes vs {len(wanted)} threshold classes",
-                    )
-                )
+                got = f"{len(seen)} classes vs {len(wanted)} threshold classes"
+                cxs.append(Counterexample(*everywhere, "exactly the threshold isomorphism classes", got))
         notes.append(f"n={n}: {len(seen)} threshold classes reached")
     return checked
 
@@ -323,9 +330,9 @@ def _verify_full_memory(max_n: int, cxs: list[Counterexample], notes: list[str])
             place = dict(zip(order, range(1, g.n + 1)))
             mapped = frozenset((min(place[i], place[j]), max(place[i], place[j])) for i, j in g.edges)
             if mapped != want.edges and not is_isomorphic(g, want):
-                found.append(_counterexample(trace, "the named family shape"))
+                found.append(_counterexample(_witness(trace), "the named family shape"))
         if trace.rule.mnemonic == "0>E,1>-" and not (is_threshold(g) and is_threshold_by_forbidden(g)):
-            found.append(_counterexample(trace, "a threshold graph"))
+            found.append(_counterexample(_witness(trace), "a threshold graph"))
     return checked
 
 
@@ -363,7 +370,7 @@ def _verify_fading_memory(max_n: int, cxs: list[Counterexample], notes: list[str
             expected = sorted(list(sizes) + [1] * (g.n - sum(sizes)))
             got = sorted(len(c) for c in connected_components(g))
             if not (is_linear_forest(g) and got == expected):
-                found.append(_counterexample(trace, f"linear forest with path sizes {sizes}"))
+                found.append(_counterexample(_witness(trace), f"linear forest with path sizes {sizes}"))
     return checked
 
 
@@ -385,11 +392,8 @@ def _verify_modifiable(max_n: int, cxs: list[Counterexample], notes: list[str]) 
     if star and memory_modifiable_steps(worked) == [5]:
         notes.append("rule 0>1,1>- x 00010 with a final rewrite yields the 4-star")
     else:
-        cxs.append(
-            _counterexample(
-                worked, "the complete bipartite graph on 1+4 vertices, rewritten at step 5"
-            )
-        )
+        expected = "the complete bipartite graph on 1+4 vertices, rewritten at step 5"
+        cxs.append(_counterexample(_witness(worked), expected))
 
     flagged_total = 0
     for trace, found in _walk(FULL_RULES, MODIFIABLE, max_n, cxs):
@@ -402,14 +406,9 @@ def _verify_modifiable(max_n: int, cxs: list[Counterexample], notes: list[str]) 
             flagged_total += 1
             g_t = per_step[t]
             if canonical_form(g_t) not in families[t]:
-                found.append(
-                    Counterexample(
-                        trace.rule.mnemonic, "modifiable", trace.x, trace.choices,
-                        f"step-{t} graph in the rewrite families "
-                        "(complete split / complete bipartite / complete)",
-                        to_json(g_t),
-                    )
-                )
+                expected = (f"step-{t} graph in the rewrite families "
+                            "(complete split / complete bipartite / complete)")
+                found.append(_counterexample(_witness(trace)._replace(graph=g_t), expected))
     notes.append(f"{flagged_total} rewrite steps examined")
     return checked
 
@@ -420,9 +419,9 @@ def _verify_path_cycle_free(max_n: int, cxs: list[Counterexample], notes: list[s
     # certificates carry n, so merging the per-size maps keeps each class's
     # first witness in rule order
     witnesses = {
-        cert: trace
+        cert: run
         for level in _reachable_with_witnesses(FULL_MEMORY, max_n, 0)
-        for cert, trace in level.items()
+        for cert, run in level.items()
     }
     notes.append(f"{len(witnesses)} distinct output classes at n <= {max_n}")
 
@@ -435,21 +434,20 @@ def _verify_path_cycle_free(max_n: int, cxs: list[Counterexample], notes: list[s
     # the first witness of each wanted shape is noted and leaves the dict
     unseen = {"4-path": path_graph(4), "4-cycle": cycle_graph(4)}
     for cert in sorted(witnesses):
-        trace = witnesses[cert]
-        g = trace.final.graph
+        run = witnesses[cert]
         for label, h in forbidden:
             checked += 1
-            if contains_induced(g, h):
-                cxs.append(_counterexample(trace, f"no {label}"))
+            if contains_induced(run.graph, h):
+                cxs.append(_counterexample(run, f"no {label}"))
         for label, h in list(unseen.items()):
-            if contains_induced(g, h):
+            if contains_induced(run.graph, h):
                 del unseen[label]
-                notes.append(f"induced {label} witness: rule {trace.rule.mnemonic} x {trace.x}")
+                notes.append(f"induced {label} witness: rule {run.rule.mnemonic} x {run.x}")
 
     example = interpret(parse_rule("0>1,1>-"), FULL_MEMORY, "10010")
     checked += 1
     if not contains_induced(example.final.graph, path_graph(4)):
-        cxs.append(_counterexample(example, "an induced 4-path"))
+        cxs.append(_counterexample(_witness(example), "an induced 4-path"))
     for label in unseen:
         cxs.append(
             Counterexample("any", "full", f"|x| <= {max_n}", None, f"some induced {label}", "none")
@@ -475,14 +473,15 @@ def _compare_models(max_n: int, cxs: list[Counterexample], notes: list[str]) -> 
     return checked
 
 
-# id -> (check, rules, models, default max_n, LIMITS entry of the largest max_n)
+# id -> (check, models, default max_n); the last model is the richest, and
+# its rules and walk bound are the report's
 _CHECKS = {
-    "P2": (_verify_no_memory, NO_MEMORY_RULES, (NO_MEMORY,), 10, "P2_n"),
-    "P3": (_verify_full_memory, FULL_RULES, (FULL_MEMORY,), 8, "P3_n"),
-    "P5": (_verify_fading_memory, FULL_RULES, (_FADING,), 8, "P5_n"),
-    "C_modifiable": (_verify_modifiable, FULL_RULES, (MODIFIABLE,), 6, "modifiable_n"),
-    "C_pnfree": (_verify_path_cycle_free, FULL_RULES, (FULL_MEMORY,), 8, "C_pnfree_n"),
-    "hierarchy": (_compare_models, FULL_RULES, (NO_MEMORY, _FADING, FULL_MEMORY), 8, "reachability_n"),
+    "P2": (_verify_no_memory, (NO_MEMORY,), 10),
+    "P3": (_verify_full_memory, (FULL_MEMORY,), 8),
+    "P5": (_verify_fading_memory, (_FADING,), 8),
+    "C_modifiable": (_verify_modifiable, (MODIFIABLE,), 6),
+    "C_pnfree": (_verify_path_cycle_free, (FULL_MEMORY,), 8),
+    "hierarchy": (_compare_models, (NO_MEMORY, _FADING, FULL_MEMORY), 8),
 }
 
 CHECK_IDS = tuple(_CHECKS)  # PROPOSITION_IDS, then hierarchy
@@ -494,11 +493,10 @@ def _report(check_id: str, max_n: int | None) -> VerificationReport:
     comparisons it made."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}; expected one of {', '.join(CHECK_IDS)}")
-    check, rules, models, default_n, limit_name = _CHECKS[check_id]
+    check, models, default_n = _CHECKS[check_id]
     bound = default_n if max_n is None else max_n
-    if bound < 0:
-        raise ValueError("max_n must be nonnegative")
-    _check_limit(limit_name, bound, check_id + " supports max_n <= {limit}")
+    refusals = ("max_n must be nonnegative", "{what} supports max_n <= {limit}")
+    _check_walk_bound(models[-1], bound, check_id, refusals)
     started = time.monotonic()
     cxs: list[Counterexample] = []
     notes: list[str] = []
@@ -506,7 +504,7 @@ def _report(check_id: str, max_n: int | None) -> VerificationReport:
     return VerificationReport(
         proposition=check_id,
         max_n=bound,
-        rules=tuple(r.mnemonic for r in rules),
+        rules=tuple(r.mnemonic for r in _rules_for(models[-1])),
         models=tuple(str(m) for m in models),
         checked=checked,
         counterexamples=tuple(cxs),

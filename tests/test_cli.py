@@ -52,6 +52,23 @@ def test_parse_graph_spec_rejects_garbage() -> None:
             parse_graph_spec(bad)
 
 
+def test_named_specs_above_the_edge_cap_are_refused_before_they_are_built(capsys, monkeypatch) -> None:
+    over_the_cap = (("K2000", 1999000), ("K1025,1024", 1049600), ("P1048578", 1048577), ("C1048577", 1048577))
+    for spec, edges in over_the_cap:
+        with pytest.raises(ValueError) as exc:
+            parse_graph_spec(spec)
+        assert str(exc.value) == f"graph spec '{spec}' may build {edges} edges; limit 1048576"
+    assert main(["likelihood", "--graph", "K2000", "--bounds"]) == 2
+    assert capsys.readouterr().err == "error: graph spec 'K2000' may build 1999000 edges; limit 1048576\n"
+    # at a lowered cap each family is built up to it and refused one past it
+    monkeypatch.setitem(graphs.LIMITS, "build_edges", 6)
+    for fits, over in (("K4", "K5"), ("K2,3", "K2,4"), ("P7", "P8"), ("C6", "C7")):
+        assert parse_graph_spec(fits).edge_count == 6
+        with pytest.raises(ValueError, match="edges; limit 6$"):
+            parse_graph_spec(over)
+    assert parse_graph_spec("E100") == empty_graph(100)
+
+
 def test_build_examples_from_table() -> None:
     r = run_cli("build", "--rule", "0>1,1>-", "--model", "full", "--x", "10010", "--format", "json")
     assert r.returncode == 0

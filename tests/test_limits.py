@@ -110,14 +110,14 @@ CASES = [
      "construction search bounds: n <= 12, modifiable n <= 7", False),
     ("modifiable_n", "17", lambda s: verify_proposition("C_modifiable", s),
      "C_modifiable supports max_n <= 7", False),
-    ("reachability_n", "18", lambda s: verify_proposition("hierarchy", s),
-     "hierarchy supports max_n <= 8", False),
-    ("reachability_n", "19", hierarchy_report,
-     "hierarchy supports max_n <= 8", False),
-    ("P2_n", "20", lambda s: verify_proposition("P2", s), "P2 supports max_n <= 10", False),
-    ("P3_n", "21", lambda s: verify_proposition("P3", s), "P3 supports max_n <= 8", False),
-    ("P5_n", "22", lambda s: verify_proposition("P5", s), "P5 supports max_n <= 8", False),
-    ("C_pnfree_n", "23", lambda s: verify_proposition("C_pnfree", s), "C_pnfree supports max_n <= 8", False),
+    ("enumeration_n", "18", lambda s: verify_proposition("hierarchy", s),
+     "hierarchy supports max_n <= 12", False),
+    ("enumeration_n", "19", hierarchy_report,
+     "hierarchy supports max_n <= 12", False),
+    ("enumeration_n", "20", lambda s: verify_proposition("P2", s), "P2 supports max_n <= 12", False),
+    ("enumeration_n", "21", lambda s: verify_proposition("P3", s), "P3 supports max_n <= 12", False),
+    ("enumeration_n", "22", lambda s: verify_proposition("P5", s), "P5 supports max_n <= 12", False),
+    ("enumeration_n", "23", lambda s: verify_proposition("C_pnfree", s), "C_pnfree supports max_n <= 12", False),
     ("build_edges", "24", lambda s: sample_ua_parents(s + 1, 0),
      "a 1048578-vertex tree may build 1048577 edges; limit 1048576", False),
     ("build_edges", "25", lambda s: sample_gnp(_vertices_for_pairs(s), 0, 1),
@@ -126,6 +126,8 @@ CASES = [
      "a 1449-vertex sample may build 1049076 edges; limit 1048576", False),
     ("build_edges", "27", lambda s: interpret(parse_rule("0>-,1>-"), FULL_MEMORY, "0" * _vertices_for_pairs(s)),
      "a 1449-bit run under full may build 1049076 edges; limit 1048576", False),
+    ("build_edges", "parse_graph_spec", lambda s: cli.parse_graph_spec(f"K{_vertices_for_pairs(s)}"),
+     "graph spec 'K1449' may build 1049076 edges; limit 1048576", False),
     ("matrix_bits", "28", lambda s: to_bitstring(empty_graph(_vertices_for_pairs(s))),
      "matrix output supports C(n,2) <= 16777216 bits (n <= 5793), got n=5794", False),
     ("cost_a_n", "29", randomness_cost_a,
@@ -235,6 +237,20 @@ def test_cli_help_reads_the_table(monkeypatch) -> None:
     monkeypatch.setitem(LIMITS, "class_law_n", 6)
     text = likelihood_help()
     assert text.count("(n <= 6)") == 2 and "(N <= 6)" in text
+
+
+def test_verify_max_n_help_reads_the_table(monkeypatch) -> None:
+    def max_n_help() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        return " ".join(out.getvalue().split())
+
+    assert "(n <= 12; C_modifiable n <= 7)" in max_n_help()
+    monkeypatch.setitem(LIMITS, "enumeration_n", 11)
+    assert "(n <= 11; C_modifiable n <= 7)" in max_n_help()
+    monkeypatch.setitem(LIMITS, "modifiable_n", 6)
+    assert "(n <= 11; C_modifiable n <= 6)" in max_n_help()
 
 
 def test_readme_lists_every_entry_with_its_value() -> None:

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from graphforge.graphs import (
+    LIMITS,
     Graph,
     canonical_form,
     complete_bipartite,
@@ -538,8 +539,8 @@ def test_hierarchy_is_a_row_of_the_check_table() -> None:
         assert by_id.to_json() == by_name.to_json() and by_id.to_text() == by_name.to_text()
     assert hierarchy_report().max_n == verify_proposition("hierarchy").max_n == 8
     for call in (hierarchy_report, lambda n: verify_proposition("hierarchy", n)):
-        with pytest.raises(ValueError, match=r"^hierarchy supports max_n <= 8$"):
-            call(9)
+        with pytest.raises(ValueError, match=r"^hierarchy supports max_n <= 12$"):
+            call(13)
         with pytest.raises(ValueError, match=r"^max_n must be nonnegative$"):
             call(-1)
     with pytest.raises(ValueError) as exc:
@@ -547,6 +548,30 @@ def test_hierarchy_is_a_row_of_the_check_table() -> None:
     assert str(exc.value) == (
         "unknown check 'P99'; expected one of P2, P3, P5, C_modifiable, C_pnfree, hierarchy"
     )
+
+
+def test_each_walk_entry_bounds_the_checks_that_walk_its_model(monkeypatch) -> None:
+    """enumeration_n bounds every check but C_modifiable, which modifiable_n
+    bounds alone; a check within its bound starts its walk."""
+
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(verify, "_runs", started)
+    by_entry = {"enumeration_n": ("P2", "P3", "P5", "C_pnfree", "hierarchy"), "modifiable_n": ("C_modifiable",)}
+    for entry, moved in by_entry.items():
+        with monkeypatch.context() as m:
+            m.setitem(LIMITS, entry, LIMITS[entry] - 3)
+            for check in CHECK_IDS:
+                limit = (7 if check == "C_modifiable" else 12) - (3 if check in moved else 0)
+                with pytest.raises(ValueError) as exc:
+                    verify_proposition(check, limit + 1)
+                assert str(exc.value) == f"{check} supports max_n <= {limit}"
+                with pytest.raises(Started):
+                    verify_proposition(check, limit)
 
 
 def test_expressiveness_count_reads_the_enumeration_bound() -> None:
