@@ -17,7 +17,9 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import comb
 
 from .graphs import (
@@ -57,13 +59,14 @@ GRAPH_SPEC_HELP = (
 )
 
 
-def parse_graph_spec(text: str) -> Graph:
-    """Parse the CLI graph grammar documented in GRAPH_SPEC_HELP. A named
-    family with more edges than LIMITS["build_edges"] is refused before it
-    is built."""
+def _graph_spec(text: str) -> tuple[int, Callable[[], Graph]]:
+    """The vertex count of a spec in the CLI graph grammar, and a builder of
+    its graph. A JSON object is parsed here; a named family is only sized,
+    and one with more edges than LIMITS["build_edges"] is refused here."""
     t = text.strip()
     if t.startswith("{"):
-        return from_json(t)
+        g = from_json(t)
+        return g.n, lambda: g
     m = re.fullmatch(r"([KPCEkpce])\s*(\d+)\s*(?:,\s*(\d+))?", t)
     if not m:
         raise ValueError(f"cannot parse graph spec {text!r}; {GRAPH_SPEC_HELP}")
@@ -73,8 +76,15 @@ def parse_graph_spec(text: str) -> Graph:
     edges = {"K": comb(a, 2), "P": a - 1, "C": a, "E": 0}[kind] if b is None else a * int(b)
     _check_edge_cap(edges, f"graph spec {t!r}")
     if b is not None:
-        return complete_bipartite(a, int(b))
-    return {"K": complete_graph, "P": path_graph, "C": cycle_graph, "E": empty_graph}[kind](a)
+        return a + int(b), partial(complete_bipartite, a, int(b))
+    return a, partial({"K": complete_graph, "P": path_graph, "C": cycle_graph, "E": empty_graph}[kind], a)
+
+
+def parse_graph_spec(text: str) -> Graph:
+    """Parse the CLI graph grammar documented in GRAPH_SPEC_HELP. A named
+    family with more edges than LIMITS["build_edges"] is refused before it
+    is built."""
+    return _graph_spec(text)[1]()
 
 
 def _parse_probability(text: str) -> Fraction:
@@ -167,7 +177,12 @@ def _cmd_likelihood(args: argparse.Namespace) -> int:
         return 0
     if args.graph is None:
         raise ValueError("--graph is required with --exact, --mc, and --bounds")
-    g = parse_graph_spec(args.graph)
+    n, build = _graph_spec(args.graph)
+    # Each mode refuses a graph above its size bound on the vertex count
+    # alone, before any work, and no family constructor refuses such a
+    # size: an edgeless stand-in draws the mode's own refusal, in its own
+    # order, without building the graph.
+    g = build() if n <= LIMITS["class_law_n" if args.exact else "exact_n"] else empty_graph(n)
     if args.exact:
         _emit(f"{likelihood_exact(g)}\n", args.out)
         return 0
@@ -361,9 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser(limits: tuple[tuple[str, int], ...]) -> argparse.ArgumentParser:
+    """The parser for one state of LIMITS, the only mutable input of its help
+    texts. Reuse is safe: parse_args writes only to a fresh Namespace, and
+    help is formatted, at the terminal's width, when it is printed."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(LIMITS.items())).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

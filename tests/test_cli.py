@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from graphforge import graphs
+from graphforge import cli, graphs
 from graphforge.cli import main, parse_graph_spec
 from graphforge.graphs import (
     complete_bipartite,
@@ -20,6 +20,7 @@ from graphforge.graphs import (
     is_isomorphic,
     path_graph,
 )
+from graphforge.randomness import likelihood_bounds, likelihood_exact, likelihood_mc
 
 
 def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -67,6 +68,107 @@ def test_named_specs_above_the_edge_cap_are_refused_before_they_are_built(capsys
         with pytest.raises(ValueError, match="edges; limit 6$"):
             parse_graph_spec(over)
     assert parse_graph_spec("E100") == empty_graph(100)
+
+
+def test_likelihood_refuses_a_graph_above_its_mode_bound_before_building_it(capsys, monkeypatch) -> None:
+    """A named --graph over the chosen mode's size bound gets the mode's own
+    refusal, in its own order, and no family constructor runs."""
+
+    def never(*args):
+        raise AssertionError(f"built a graph for {args}")
+
+    expected = {  # the library's messages for a built graph of that size
+        "--exact": "exact likelihood supported for n <= 7",
+        "--bounds": "automorphism counting supported for n <= 12",
+    }
+    for mode, n in (("--exact", 8), ("--bounds", 13)):
+        with pytest.raises(ValueError, match=f"^{expected[mode]}$"):
+            (likelihood_exact if mode == "--exact" else likelihood_bounds)(path_graph(n))
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        likelihood_mc(path_graph(13), 0, 1)
+    for name in ("complete_graph", "complete_bipartite", "path_graph", "cycle_graph"):
+        monkeypatch.setattr(cli, name, never)
+    mc = "Monte-Carlo likelihood supported for 1 <= n <= 12, got"
+    for argv, err in (
+        (["--graph", "K1000,1000", "--bounds"], expected["--bounds"]),
+        (["--graph", "K8", "--exact"], expected["--exact"]),
+        (["--graph", "C13", "--bounds"], expected["--bounds"]),
+        (["--graph", "P13", "--mc", "5", "--seed", "1"], f"{mc} 13"),
+        (["--graph", "K6,7", "--mc", "5", "--seed", "1"], f"{mc} 13"),
+        (["--graph", "K1000,1000", "--mc", "5"], "--mc requires --seed for reproducibility"),
+        (["--graph", "K1000,1000", "--mc", "0", "--seed", "1"], "need at least one sample"),
+        (["--graph", "K2000", "--exact"], "graph spec 'K2000' may build 1999000 edges; limit 1048576"),
+    ):
+        assert main(["likelihood", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n", argv
+    # at a size the mode takes the graph is built, and a constructor's own
+    # refusal keeps its place before the mode's checks
+    with pytest.raises(AssertionError, match="built a graph"):
+        main(["likelihood", "--graph", "K7", "--exact"])
+    monkeypatch.undo()
+    assert main(["likelihood", "--graph", "C2", "--mc", "0"]) == 2
+    assert capsys.readouterr().err == "error: cycle needs at least 3 vertices, got 2\n"
+
+
+def test_main_reuses_one_parser_per_limits_state(capsys, monkeypatch) -> None:
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["cost", "dyads", "--n", "5"]) == 0
+    assert len(built) == 1
+    monkeypatch.setitem(graphs.LIMITS, "class_law_n", 6)
+    assert main(["cost", "dyads", "--n", "5"]) == 0
+    assert main(["cost", "dyads", "--n", "6"]) == 0
+    assert len(built) == 2
+    assert capsys.readouterr().out == "10\n" * 4 + "15\n"
+    # build_parser still hands each caller a parser of its own
+    assert build_parser() is not build_parser()
+
+
+def test_main_repeats_byte_for_byte_after_usage_errors_and_help(capsys) -> None:
+    """One process, one parser: every argv answers the same the second time
+    round, also right after argparse exited for a usage error or --help."""
+    script = (
+        ["cost", "a", "--n", "5"],
+        ["cost", "b", "--n", "5"],
+        ["cost", "a", "--n", "5"],
+        ["likelihood", "--help"],
+        ["tree", "sample", "--n", "4", "--seed", "2"],
+        ["--help"],
+        ["random", "gnp", "--n", "4", "--seed", "1"],
+        ["cost", "a", "--n", "-1"],
+        ["verify", "P2", "--max-n", "3"],
+    )
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, *capsys.readouterr()
+
+    first = [run(argv) for argv in script]
+    assert [r[0] for r in first] == [0, ("exit", 2), 0, ("exit", 0), 0, ("exit", 0), ("exit", 2), 2, 0]
+    assert first[0] == first[2]
+    assert [run(argv) for argv in script] == first
+
+
+def test_importing_the_cli_builds_no_parser() -> None:
+    """A process that imports the CLI builds no parser until main runs."""
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import graphforge.cli\n"
+        "print(len(built))\n"
+        "graphforge.cli.main(['cost', 'dyads', '--n', '2'])\n"
+        "print(len(built) > 0)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "0\n1\nTrue\n"), r.stderr
 
 
 def test_build_examples_from_table() -> None:
