@@ -13,18 +13,17 @@ Exit codes: 0 success (and verification pass), 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
 
 from .graphs import (
     LIMITS,
     Graph,
+    _json_text,
     _json_value,
     complete_bipartite,
     complete_graph,
@@ -35,7 +34,6 @@ from .graphs import (
     to_bitstring,
     to_dot,
     to_json,
-    _check_edge_cap,
 )
 from .machines import interpret, parse_model, parse_rule
 from .randomness import (
@@ -61,8 +59,7 @@ GRAPH_SPEC_HELP = (
 
 def _graph_spec(text: str) -> tuple[int, Callable[[], Graph]]:
     """The vertex count of a spec in the CLI graph grammar, and a builder of
-    its graph. A JSON object is parsed here; a named family is only sized,
-    and one with more edges than LIMITS["build_edges"] is refused here."""
+    its graph. A JSON object is parsed here; a named family is only sized."""
     t = text.strip()
     if t.startswith("{"):
         g = from_json(t)
@@ -73,8 +70,6 @@ def _graph_spec(text: str) -> tuple[int, Callable[[], Graph]]:
     kind, a, b = m.group(1).upper(), int(m.group(2)), m.group(3)
     if b is not None and kind != "K":
         raise ValueError(f"two-part sizes are only valid for K, got {text!r}")
-    edges = {"K": comb(a, 2), "P": a - 1, "C": a, "E": 0}[kind] if b is None else a * int(b)
-    _check_edge_cap(edges, f"graph spec {t!r}")
     if b is not None:
         return a + int(b), partial(complete_bipartite, a, int(b))
     return a, partial({"K": complete_graph, "P": path_graph, "C": cycle_graph, "E": empty_graph}[kind], a)
@@ -82,8 +77,8 @@ def _graph_spec(text: str) -> tuple[int, Callable[[], Graph]]:
 
 def parse_graph_spec(text: str) -> Graph:
     """Parse the CLI graph grammar documented in GRAPH_SPEC_HELP. A named
-    family with more edges than LIMITS["build_edges"] is refused before it
-    is built."""
+    family over the edge cap is refused by its constructor before it is
+    built."""
     return _graph_spec(text)[1]()
 
 
@@ -111,9 +106,7 @@ def _sample_text(g: Graph, fmt: str, seed: int, meta: dict) -> str:
     """Serialize a sampled graph; json and dot record the seed, the matrix
     format stays pure bits."""
     if fmt == "json":
-        obj = {"graph": _json_value(g), "seed": seed, **meta}
-        # a fresh tree, as in graphs.to_json: no circular-reference check
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+        return _json_text({"graph": _json_value(g), "seed": seed, **meta}) + "\n"
     if fmt == "dot":
         return f"// seed {seed}\n" + to_dot(g)
     return _graph_text(g, fmt)
@@ -178,11 +171,11 @@ def _cmd_likelihood(args: argparse.Namespace) -> int:
     if args.graph is None:
         raise ValueError("--graph is required with --exact, --mc, and --bounds")
     n, build = _graph_spec(args.graph)
-    # Each mode refuses a graph above its size bound on the vertex count
-    # alone, before any work, and no family constructor refuses such a
-    # size: an edgeless stand-in draws the mode's own refusal, in its own
-    # order, without building the graph.
-    g = build() if n <= LIMITS["class_law_n" if args.exact else "exact_n"] else empty_graph(n)
+    # Every mode refuses n above exact_n, or above a lower bound of its own,
+    # on the vertex count alone: up to exact_n the graph is built and the
+    # mode decides; above it an edgeless stand-in draws the mode's own
+    # refusal, in its own order, without building the graph.
+    g = build() if n <= LIMITS["exact_n"] else empty_graph(n)
     if args.exact:
         _emit(f"{likelihood_exact(g)}\n", args.out)
         return 0
@@ -217,6 +210,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
             dist = Binomial(p)
             meta = {"sampler": "vertex-addition", "dist": "binomial", "p": str(p)}
         else:
+            if args.p is not None:
+                raise ValueError("--p applies only to --dist binomial")
             dist = Uniform()
             meta = {"sampler": "vertex-addition", "dist": "uniform"}
         g = sample_vertex_addition(args.n, dist, args.seed)
@@ -234,7 +229,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
             "recursive": is_recursive_tree(g),
             "seed": args.seed,
         }
-        _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+        _emit(_json_text(obj) + "\n", args.out)
     else:
         _emit(_sample_text(g, args.format, args.seed, {}), args.out)
     return 0

@@ -40,7 +40,7 @@ LIMITS = {
     "enumeration_n": 12,  # every walk of 2^n strings per rule: each verify check and reachability helper
     "modifiable_n": 7,  # the same walks under the modifiable model: up to 4^n (string, choice) runs per rule
     "walk_k": 6,  # induced-subgraph prefix tables hold k! labelled copies each
-    "build_edges": 1 << 20,  # edges one machine run, sample or named graph spec may build
+    "build_edges": 1 << 20,  # edges one machine run, sample or constructor may build
     "matrix_bits": 1 << 24,  # matrix output writes one character per vertex pair
     "cost_a_n": 65_536,  # a(n) and its closed form step a binomial of about n bits n times
 }
@@ -137,6 +137,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_edge_cap(comb(max(n, 0), 2), f"K{n}")
     return Graph(n, frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1)))
 
 
@@ -144,12 +145,14 @@ def path_graph(n: int) -> Graph:
     """Path on vertices 1..n in order; P1 is a single vertex."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    _check_edge_cap(n - 1, f"P{n}")
     return Graph(n, frozenset((t, t + 1) for t in range(1, n)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_edge_cap(n, f"C{n}")
     edges = {(t, t + 1) for t in range(1, n)}
     edges.add((1, n))
     return Graph(n, frozenset(edges))
@@ -157,6 +160,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_bipartite(l: int, m: int) -> Graph:
     """K_{l,m} with parts 1..l and l+1..l+m."""
+    _check_edge_cap(max(l, 0) * max(m, 0), f"K{l},{m}")
     return Graph(l + m, frozenset((i, l + j) for i in range(1, l + 1) for j in range(1, m + 1)))
 
 
@@ -184,6 +188,7 @@ def add_vertex(g: Graph, attach) -> Graph:
         if not (1 <= v <= g.n):
             raise ValueError(f"attachment vertex {v} outside 1..{g.n}")
     new = g.n + 1
+    _check_edge_cap(len(g.edges) + len(attach), f"adding vertex {new} to a {len(g.edges)}-edge graph")
     return Graph(new, g.edges | frozenset((v, new) for v in attach))
 
 
@@ -195,6 +200,7 @@ def remove_last_vertex(g: Graph) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
+    _check_edge_cap(len(g.edges) + len(h.edges), f"a disjoint union of {g.n} and {h.n} vertices")
     shift = g.n
     edges = set(g.edges)
     edges.update((i + shift, j + shift) for i, j in h.edges)
@@ -203,6 +209,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
+    _check_edge_cap(len(g.edges) + len(h.edges) + g.n * h.n, f"a join of {g.n} and {h.n} vertices")
     shift = g.n
     base = disjoint_union(g, h)
     cross = {(i, shift + j) for i in range(1, g.n + 1) for j in range(1, h.n + 1)}
@@ -234,7 +241,8 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
 # A labelled graph is packed into an edge mask in colex order: dyad (i, j),
 # i < j, sits at bit C(j-1, 2) + i-1.  Vertex t's back-edges are then one
 # block of t-1 bits starting at C(t-1, 2), and the graph induced on vertices
-# 1..a is the mask's low C(a, 2) bits.
+# 1..a is the mask's low C(a, 2) bits.  Other modules read the layout from
+# `_columns` and compute no bit position of their own.
 
 def _vertices(mask: int) -> list[int]:
     """The vertices in a vertex mask, ascending."""
@@ -246,12 +254,17 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
+def _columns(n: int) -> list[tuple[int, list[int]]]:
+    """(t, bits) for t = 2..n: bits[v - 1] is the mask bit of the dyad (v, t)."""
+    return [(t, [1 << (comb(t - 1, 2) + i) for i in range(t - 1)]) for t in range(2, n + 1)]
+
+
 def _labeled_copy_masks(g: Graph) -> set[int]:
     """Edge masks of all distinct labelled graphs isomorphic to g, one per
     relabelling class: the loop runs over all n! permutations."""
     n = g.n
-    # bit[x][y] is the mask bit of the dyad on vertices x+1 and y+1
-    bit = [[1 << (comb(max(x, y), 2) + min(x, y)) for y in range(n)] for x in range(n)]
+    column = [[]] + [bits for _, bits in _columns(n)]  # column[y][x]: the dyad (x+1, y+1), x < y
+    bit = [[column[max(x, y)][min(x, y)] if x != y else 0 for y in range(n)] for x in range(n)]
     base = [(i - 1, j - 1) for i, j in g.sorted_edges()]
     masks: set[int] = set()
     for perm in permutations(range(n)):
@@ -686,6 +699,13 @@ def is_linear_forest(g: Graph) -> bool:
 # serialization (all byte-deterministic)
 # ---------------------------------------------------------------------------
 
+def _json_text(obj) -> str:
+    """The one JSON writer: sorted keys, no spaces. Every caller hands it a
+    fresh tree, which cannot refer to itself, so the circular-reference check,
+    which records every container it enters, is skipped: same bytes, less time."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def _json_value(g: Graph) -> dict:
     """The JSON object of g with each edge a tuple: json.dumps writes a tuple
     as an array, so it prints the same bytes without building a list per
@@ -700,10 +720,7 @@ def to_json_obj(g: Graph) -> dict:
 
 
 def to_json(g: Graph) -> str:
-    # The object is a fresh tree of ints and tuples, so it cannot refer to
-    # itself; without the circular-reference check, which records every
-    # edge tuple it enters, json.dumps prints the same bytes in about half the time.
-    return json.dumps(_json_value(g), sort_keys=True, separators=(",", ":"), check_circular=False)
+    return _json_text(_json_value(g))
 
 
 def from_json_obj(obj: dict) -> Graph:

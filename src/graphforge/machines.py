@@ -37,14 +37,13 @@ tables below are one representative per swap orbit.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 from typing import NamedTuple
 
-from .graphs import Graph, empty_graph, to_json_obj, _check_edge_cap, _unchecked
+from .graphs import Graph, empty_graph, to_json_obj, _check_edge_cap, _json_text, _unchecked
 
 
 class InvalidActionForModel(ValueError):
@@ -275,7 +274,7 @@ class ConstructionTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _json_text(self.to_json_obj())
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")

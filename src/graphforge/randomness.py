@@ -34,7 +34,6 @@ Theta(n^2), the same order as the dyad budget C(n,2).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,9 +47,11 @@ from .graphs import (
     complete_bipartite,
     is_isomorphic,
     _class_law,
+    _columns,
     _copy_set,
     _check_edge_cap,
     _check_limit,
+    _json_text,
     _vertices,
 )
 
@@ -172,20 +173,12 @@ class McEstimate:
 # that random.sample takes for a population of at most 21, so a seed gives the
 # same draws from the same stream as the samplers that call the stdlib.
 
-_WIDTHS = tuple(w.bit_length() for w in range(LIMITS["exact_n"] + 1))
-
-
-def _columns(n: int) -> list[tuple[int, list[int]]]:
-    """(t, bits) for t = 2..n: bits[v - 1] is the mask bit of the dyad (v, t)."""
-    return [(t, [1 << (comb(t - 1, 2) + i) for i in range(t - 1)]) for t in range(2, n + 1)]
-
-
 def _va_masks(n: int, samples: int, rng: random.Random):
     """Yield `samples` draws of `_sample_va_edges(n, Uniform(), rng)` as edge
-    masks, n <= LIMITS["exact_n"]: vertex t takes k = rng.randrange(t) earlier
-    neighbours, picked as rng.sample(range(1, t), k) picks them."""
+    masks: vertex t takes k = rng.randrange(t) earlier neighbours, picked as
+    rng.sample(range(1, t), k) picks them."""
     getrandbits = rng.getrandbits
-    widths = _WIDTHS
+    widths = [w.bit_length() for w in range(n + 1)]
     steps = [(t, widths[t], bits) for t, bits in _columns(n)]
     for _ in range(samples):
         mask = 0
@@ -208,11 +201,10 @@ def _va_masks(n: int, samples: int, rng: random.Random):
 
 
 def _ua_masks(n: int, samples: int, rng: random.Random):
-    """Yield `samples` uniform-attachment trees as edge masks, n <= LIMITS["exact_n"]:
-    the parent of vertex t is rng.randrange(1, t), as in
-    `trees.sample_ua_parents`."""
+    """Yield `samples` uniform-attachment trees as edge masks: the parent of
+    vertex t is rng.randrange(1, t), as in `trees.sample_ua_parents`."""
     getrandbits = rng.getrandbits
-    steps = [(t - 1, _WIDTHS[t - 1], bits) for t, bits in _columns(n)]
+    steps = [(t - 1, (t - 1).bit_length(), bits) for t, bits in _columns(n)]
     for _ in range(samples):
         mask = 0
         for size, w, bits in steps:
@@ -233,8 +225,8 @@ def _count_copies(g: Graph, masks) -> int:
     n = g.n
     if n <= LIMITS["copy_set_n"]:
         return sum(map(_copy_set(g).__contains__, masks))
-    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]  # in mask-bit order
-    stars = [sum(1 << k for k, pair in enumerate(pairs) if v in pair) for v in range(1, n + 1)]
+    dyads = {bit.bit_length() - 1: (v, t) for t, bits in _columns(n) for v, bit in enumerate(bits, 1)}
+    stars = [sum(1 << k for k, dyad in dyads.items() if v in dyad) for v in range(1, n + 1)]
     target_m = g.edge_count
     target_deg = g.degree_sequence()
     hits = 0
@@ -243,7 +235,7 @@ def _count_copies(g: Graph, masks) -> int:
             continue
         if tuple(sorted(((mask & star).bit_count() for star in stars), reverse=True)) != target_deg:
             continue
-        if is_isomorphic(Graph(n, frozenset(pairs[k] for k in _vertices(mask))), g):
+        if is_isomorphic(Graph(n, frozenset(dyads[k] for k in _vertices(mask))), g):
             hits += 1
     return hits
 
@@ -352,7 +344,7 @@ class LikelihoodTable:
             "argmax": self.argmax.certificate,
             "argmin_balanced_bipartite": self.argmin_is_balanced_bipartite(),
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return _json_text(obj)
 
 
 def likelihood_extremes(n: int) -> LikelihoodTable:

@@ -44,7 +44,6 @@ two earlier vertices.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -77,6 +76,7 @@ from .graphs import (
     is_threshold_by_forbidden,
     path_graph,
     to_json,
+    _json_text,
 )
 from .machines import (
     FULL_MEMORY,
@@ -140,7 +140,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _json_text(self.to_json_obj())
 
     def to_text(self, max_listed: int = 20) -> str:
         lines = [
@@ -448,7 +448,8 @@ def _verify_path_cycle_free(max_n: int, cxs: list[Counterexample], notes: list[s
     checked += 1
     if not contains_induced(example.final.graph, path_graph(4)):
         cxs.append(_counterexample(_witness(example), "an induced 4-path"))
-    for label in unseen:
+    # no string shorter than 4 bits builds a 4-vertex witness
+    for label in unseen if max_n >= 4 else ():
         cxs.append(
             Counterexample("any", "full", f"|x| <= {max_n}", None, f"some induced {label}", "none")
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -58,9 +59,7 @@ def test_named_specs_above_the_edge_cap_are_refused_before_they_are_built(capsys
     for spec, edges in over_the_cap:
         with pytest.raises(ValueError) as exc:
             parse_graph_spec(spec)
-        assert str(exc.value) == f"graph spec '{spec}' may build {edges} edges; limit 1048576"
-    assert main(["likelihood", "--graph", "K2000", "--bounds"]) == 2
-    assert capsys.readouterr().err == "error: graph spec 'K2000' may build 1999000 edges; limit 1048576\n"
+        assert str(exc.value) == f"{spec} may build {edges} edges; limit 1048576"
     # at a lowered cap each family is built up to it and refused one past it
     monkeypatch.setitem(graphs.LIMITS, "build_edges", 6)
     for fits, over in (("K4", "K5"), ("K2,3", "K2,4"), ("P7", "P8"), ("C6", "C7")):
@@ -68,11 +67,13 @@ def test_named_specs_above_the_edge_cap_are_refused_before_they_are_built(capsys
         with pytest.raises(ValueError, match="edges; limit 6$"):
             parse_graph_spec(over)
     assert parse_graph_spec("E100") == empty_graph(100)
+    assert main(["likelihood", "--graph", "K5", "--bounds"]) == 2
+    assert capsys.readouterr().err == "error: K5 may build 10 edges; limit 6\n"
 
 
 def test_likelihood_refuses_a_graph_above_its_mode_bound_before_building_it(capsys, monkeypatch) -> None:
     """A named --graph over the chosen mode's size bound gets the mode's own
-    refusal, in its own order, and no family constructor runs."""
+    refusal, in its own order; above exact_n no family constructor runs."""
 
     def never(*args):
         raise AssertionError(f"built a graph for {args}")
@@ -91,23 +92,33 @@ def test_likelihood_refuses_a_graph_above_its_mode_bound_before_building_it(caps
     mc = "Monte-Carlo likelihood supported for 1 <= n <= 12, got"
     for argv, err in (
         (["--graph", "K1000,1000", "--bounds"], expected["--bounds"]),
-        (["--graph", "K8", "--exact"], expected["--exact"]),
         (["--graph", "C13", "--bounds"], expected["--bounds"]),
         (["--graph", "P13", "--mc", "5", "--seed", "1"], f"{mc} 13"),
         (["--graph", "K6,7", "--mc", "5", "--seed", "1"], f"{mc} 13"),
         (["--graph", "K1000,1000", "--mc", "5"], "--mc requires --seed for reproducibility"),
         (["--graph", "K1000,1000", "--mc", "0", "--seed", "1"], "need at least one sample"),
-        (["--graph", "K2000", "--exact"], "graph spec 'K2000' may build 1999000 edges; limit 1048576"),
+        (["--graph", "K2000", "--exact"], expected["--exact"]),
     ):
         assert main(["likelihood", *argv]) == 2
         assert capsys.readouterr().err == f"error: {err}\n", argv
-    # at a size the mode takes the graph is built, and a constructor's own
-    # refusal keeps its place before the mode's checks
-    with pytest.raises(AssertionError, match="built a graph"):
-        main(["likelihood", "--graph", "K7", "--exact"])
+    # up to exact_n, the bound every mode shares, the graph is built, and a
+    # constructor's own refusal keeps its place before the mode's checks
+    for argv in (["K7", "--exact"], ["K8", "--exact"], ["C12", "--bounds"]):
+        with pytest.raises(AssertionError, match="built a graph"):
+            main(["likelihood", "--graph", *argv])
     monkeypatch.undo()
+    assert main(["likelihood", "--graph", "K8", "--exact"]) == 2
+    assert capsys.readouterr().err == f"error: {expected['--exact']}\n"
     assert main(["likelihood", "--graph", "C2", "--mc", "0"]) == 2
     assert capsys.readouterr().err == "error: cycle needs at least 3 vertices, got 2\n"
+
+
+def test_likelihood_hands_each_mode_the_graph_up_to_exact_n(capsys, monkeypatch) -> None:
+    received = []
+    monkeypatch.setattr(cli, "likelihood_exact", lambda g: received.append(g) or Fraction(1))
+    assert main(["likelihood", "--graph", "P10", "--exact"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert received == [path_graph(10)]
 
 
 def test_main_reuses_one_parser_per_limits_state(capsys, monkeypatch) -> None:
@@ -327,6 +338,20 @@ def test_random_va_records_distribution() -> None:
     assert r.returncode == 0
     obj = json.loads(r.stdout)
     assert obj["seed"] == 9
+
+
+def test_random_va_refuses_a_p_its_distribution_does_not_read(capsys, monkeypatch) -> None:
+    def never(*args):
+        raise AssertionError(f"drew a sample for {args}")
+
+    monkeypatch.setattr(cli, "sample_vertex_addition", never)
+    for p in ("abc", "1/2"):
+        for dist in ([], ["--dist", "uniform"]):
+            assert main(["random", "va", "--n", "3", "--p", p, "--seed", "1", *dist]) == 2
+            assert capsys.readouterr() == ("", "error: --p applies only to --dist binomial\n")
+    monkeypatch.undo()
+    assert main(["random", "va", "--n", "3", "--p", "1/2", "--dist", "binomial", "--seed", "1"]) == 0
+    assert main(["random", "va", "--n", "3", "--seed", "1"]) == 0
 
 
 def test_tree_sample_output() -> None:

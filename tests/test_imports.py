@@ -1,5 +1,6 @@
-"""Every name a graphforge module imports is used in that module, and every
-private module-level name is used somewhere in the package."""
+"""Every name a graphforge module imports is used in that module, every
+private module-level name is used somewhere in the package, and no module
+reads the size limits at import."""
 
 from __future__ import annotations
 
@@ -118,3 +119,30 @@ def test_every_cache_has_an_integer_maxsize() -> None:
                 if size is not None and _constant_int(size) is None:
                     unbounded[node.name] = node
     assert sorted(unbounded) == sorted(UNBOUNDED_CACHES)
+
+
+def _runs_at_import(node: ast.AST):
+    """node and every node under it that runs when its module is imported:
+    of a def or lambda only the decorators and defaults, not the body."""
+    yield node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        children = [*getattr(node, "decorator_list", ()), *args.defaults, *filter(None, args.kw_defaults)]
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        yield from _runs_at_import(child)
+
+
+def test_no_module_reads_limits_at_import() -> None:
+    """Each entry point reads its LIMITS entry when called, so a value frozen
+    at import would ignore a changed limit. Only the table's own definition
+    in graphs, which stores the name and reads none, runs at import."""
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _runs_at_import(ast.parse(path.read_text(), path.name))
+        if (isinstance(node, ast.Name) and node.id == "LIMITS" and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "LIMITS")
+    ]
+    assert reads == []

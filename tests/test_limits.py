@@ -59,6 +59,7 @@ from graphforge.verify import (
 
 RULE = parse_rule("0>1,1>-")
 WORK = ("_class_law", "_runs", "_labeled_copy_masks", "_canon_search")
+BUILD = ("Graph", "frozenset")  # every constructor freezes its edges and wraps them in a Graph
 
 
 def _vertices_for_pairs(pairs: int) -> int:
@@ -127,7 +128,7 @@ CASES = [
     ("build_edges", "27", lambda s: interpret(parse_rule("0>-,1>-"), FULL_MEMORY, "0" * _vertices_for_pairs(s)),
      "a 1449-bit run under full may build 1049076 edges; limit 1048576", False),
     ("build_edges", "parse_graph_spec", lambda s: cli.parse_graph_spec(f"K{_vertices_for_pairs(s)}"),
-     "graph spec 'K1449' may build 1049076 edges; limit 1048576", False),
+     "K1449 may build 1049076 edges; limit 1048576", False),
     ("matrix_bits", "28", lambda s: to_bitstring(empty_graph(_vertices_for_pairs(s))),
      "matrix output supports C(n,2) <= 16777216 bits (n <= 5793), got n=5794", False),
     ("cost_a_n", "29", randomness_cost_a,
@@ -191,6 +192,40 @@ def test_a_lowered_entry_moves_the_bound(no_work, monkeypatch, entry, call, mess
     with pytest.raises(ValueError, match=str(lowered)) as exc:
         call(lowered + 1)
     assert str(exc.value) != message
+
+
+E10, E11 = empty_graph(10), empty_graph(11)
+P51, P52, P100, P101 = map(path_graph, (51, 52, 100, 101))
+# (constructor, its arguments one edge or more over a cap of 100 edges, its
+# refusal, its arguments at or just under the cap); graphs are built here,
+# before the test makes building fail
+CONSTRUCTORS = [
+    ("complete_graph", (15,), "K15 may build 105 edges", (14,)),
+    ("complete_bipartite", (10, 11), "K10,11 may build 110 edges", (10, 10)),
+    ("path_graph", (102,), "P102 may build 101 edges", (101,)),
+    ("cycle_graph", (101,), "C101 may build 101 edges", (100,)),
+    ("join", (E10, E11), "a join of 10 and 11 vertices may build 110 edges", (E10, E10)),
+    ("disjoint_union", (P51, P52), "a disjoint union of 51 and 52 vertices may build 101 edges", (P51, P51)),
+    ("add_vertex", (P101, [1, 2]), "adding vertex 102 to a 100-edge graph may build 102 edges", (P100, [1])),
+]
+
+
+@pytest.mark.parametrize(("name", "over", "message", "fits"), CONSTRUCTORS, ids=[c[0] for c in CONSTRUCTORS])
+def test_every_constructor_refuses_more_edges_than_the_cap_before_building(
+    monkeypatch, name, over, message, fits
+) -> None:
+    monkeypatch.setitem(LIMITS, "build_edges", 100)
+    constructor = getattr(graphs, name)
+    assert 91 <= constructor(*fits).edge_count <= 100
+
+    def refuse(*args):
+        raise AssertionError("a constructor built past the cap")
+
+    for built_with in BUILD:
+        monkeypatch.setattr(graphs, built_with, refuse, raising=False)
+    with pytest.raises(ValueError) as exc:
+        constructor(*over)
+    assert str(exc.value) == f"{message}; limit 100"
 
 
 def test_a_lowered_matrix_cap_names_its_largest_size(monkeypatch) -> None:

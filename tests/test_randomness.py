@@ -319,40 +319,48 @@ def test_mask_draws_copy_the_stdlib_draws() -> None:
     fails here instead of silently changing every Monte-Carlo count: each
     draw's mask must be the one that rng.randrange(t) and
     rng.sample(range(1, t), k) (or rng.randrange(1, t)) on a twin generator
-    give, every (t, k) with t <= 12 must occur at every seed, and both
+    give, every (t, k) with t <= n must occur at every seed, and both
     generators must end in the same state.  The mask holds the set of picks;
-    the shared end state pins how many draws of which width made them."""
-    n = LIMITS["exact_n"]
-    pos = {(i, j): comb(j - 1, 2) + i - 1 for j in range(2, n + 1) for i in range(1, j)}
-    samples = 400
-    for seed in range(6):
-        rng, twin = random.Random(seed), random.Random(seed)
-        seen = set()
-        want = []
-        for _ in range(samples):
-            mask = 0
-            for t in range(2, n + 1):
-                k = twin.randrange(t)
-                seen.add((t, k))
-                for v in twin.sample(range(1, t), k):
+    the shared end state pins how many draws of which width made them.
+    n = 13 lies past the default exact_n: the draws read no bound."""
+    for n in (LIMITS["exact_n"], 13):
+        pos = {(i, j): comb(j - 1, 2) + i - 1 for j in range(2, n + 1) for i in range(1, j)}
+        samples = 400
+        for seed in range(6):
+            rng, twin = random.Random(seed), random.Random(seed)
+            seen = set()
+            want = []
+            for _ in range(samples):
+                mask = 0
+                for t in range(2, n + 1):
+                    k = twin.randrange(t)
+                    seen.add((t, k))
+                    for v in twin.sample(range(1, t), k):
+                        mask |= 1 << pos[v, t]
+                want.append(mask)
+            assert list(randomness._va_masks(n, samples, rng)) == want, (n, seed)
+            assert rng.getstate() == twin.getstate(), (n, seed)
+            assert seen == {(t, k) for t in range(2, n + 1) for k in range(t)}, (n, seed)
+            rng, twin = random.Random(seed), random.Random(seed)
+            seen = set()
+            want = []
+            for _ in range(samples):
+                mask = 0
+                for t in range(2, n + 1):
+                    v = twin.randrange(1, t)
+                    seen.add((t, v))
                     mask |= 1 << pos[v, t]
-            want.append(mask)
-        assert list(randomness._va_masks(n, samples, rng)) == want, seed
-        assert rng.getstate() == twin.getstate(), seed
-        assert seen == {(t, k) for t in range(2, n + 1) for k in range(t)}, seed
-        rng, twin = random.Random(seed), random.Random(seed)
-        seen = set()
-        want = []
-        for _ in range(samples):
-            mask = 0
-            for t in range(2, n + 1):
-                v = twin.randrange(1, t)
-                seen.add((t, v))
-                mask |= 1 << pos[v, t]
-            want.append(mask)
-        assert list(randomness._ua_masks(n, samples, rng)) == want, seed
-        assert rng.getstate() == twin.getstate(), seed
-        assert seen == {(t, v) for t in range(2, n + 1) for v in range(1, t)}, seed
+                want.append(mask)
+            assert list(randomness._ua_masks(n, samples, rng)) == want, (n, seed)
+            assert rng.getstate() == twin.getstate(), (n, seed)
+            assert seen == {(t, v) for t in range(2, n + 1) for v in range(1, t)}, (n, seed)
+
+
+def test_monte_carlo_reads_exact_n_when_called(monkeypatch) -> None:
+    monkeypatch.setitem(LIMITS, "exact_n", 13)
+    g = path_graph(13)
+    for seed in (1, 2):
+        assert likelihood_mc(g, 200, seed).hits == _va_hits_reference(g, 200, seed)
 
 
 def test_small_targets_build_no_graph_per_draw(monkeypatch) -> None:

@@ -72,6 +72,15 @@ def test_all_propositions_pass_at_reduced_bounds() -> None:
         assert report.counterexamples == ()
 
 
+def test_path_cycle_check_passes_below_the_size_of_its_witnesses() -> None:
+    """No string shorter than 4 bits builds an induced 4-path or 4-cycle, so
+    C_pnfree demands those witnesses only from max_n = 4 on."""
+    for max_n in range(5):
+        report = verify_proposition("C_pnfree", max_n)
+        assert report.passed, report.to_text()
+        assert any("4-cycle witness" in note for note in report.notes) == (max_n >= 4)
+
+
 def test_verify_rejects_unknown_proposition() -> None:
     with pytest.raises(ValueError):
         verify_proposition("P99")
