@@ -34,12 +34,11 @@ from operator import itemgetter
 # when called, before any work, and formats its error message from it.
 LIMITS = {
     "exact_n": 12,  # canonical search and |Aut|, isomorphism backtracking, Monte-Carlo draws
-    "class_law_n": 7,  # the class law pushes every class through 2^(n-1) attach sets
-    "copy_set_n": 7,  # a labelled-copy set iterates all n! permutations
+    "class_law_n": 7,  # the class law pushes every class through 2^(n-1) attach sets; copy sets take n!
     "labelled_trees_n": 7,  # Pruefer enumeration decodes all n^(n-2) codes
     "enumeration_n": 12,  # every walk of 2^n strings per rule: each verify check and reachability helper
     "modifiable_n": 7,  # the same walks under the modifiable model: up to 4^n (string, choice) runs per rule
-    "walk_k": 6,  # induced-subgraph prefix tables hold k! labelled copies each
+    "walk_k": 6,  # cached copy tables, read by every labelled-copy question, hold k! copies each
     "build_edges": 1 << 20,  # edges one machine run, sample or constructor may build
     "matrix_bits": 1 << 24,  # matrix output writes one character per vertex pair
     "cost_a_n": 65_536,  # a(n) and its closed form step a binomial of about n bits n times
@@ -160,7 +159,9 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_bipartite(l: int, m: int) -> Graph:
     """K_{l,m} with parts 1..l and l+1..l+m."""
-    _check_edge_cap(max(l, 0) * max(m, 0), f"K{l},{m}")
+    if min(l, m) < 0:
+        raise ValueError(f"complete bipartite parts must be nonnegative, got {l} and {m}")
+    _check_edge_cap(l * m, f"K{l},{m}")
     return Graph(l + m, frozenset((i, l + j) for i in range(1, l + 1) for j in range(1, m + 1)))
 
 
@@ -546,20 +547,17 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
 def _copy_levels(h: Graph) -> tuple[frozenset[int], ...]:
     """levels[a] (a = 0..k) holds the edge masks of h's labelled copies on
     k = |V(h)| vertices, restricted to vertices 1..a, so levels[k] is the
-    copy set.  Read by the walk below and, through _copy_set, by the hit
-    loop and distinct_labeled_copies, for k <= LIMITS["walk_k"] only: 256
-    tables hold all 208 classes on 1..6 vertices, at most 0.1 MB each."""
+    copy set.  Reached only through _copy_table: 256 tables hold all 208
+    classes on 1..6 vertices, at most 0.1 MB each."""
     full = _labeled_copy_masks(h)
     lows = ((1 << comb(a, 2)) - 1 for a in range(h.n + 1))
     return tuple(frozenset(c & low for c in full) for low in lows)
 
 
-def _copy_set(h: Graph) -> frozenset[int] | set[int]:
-    """h's labelled copies: its cached table's top level up to walk_k
-    vertices, else built for this call alone (7 vertices: up to 0.7 MB)."""
-    if h.n <= LIMITS["walk_k"]:
-        return _copy_levels(h)[-1]
-    return _labeled_copy_masks(h)
+def _copy_table(h: Graph) -> tuple[frozenset[int], ...] | None:
+    """h's cached copy table up to LIMITS["walk_k"] vertices, else None: the
+    one rule by which every labelled-copy question chooses its route."""
+    return _copy_levels(h) if h.n <= LIMITS["walk_k"] else None
 
 
 def _induces_mask_in(g: Graph, levels: tuple[frozenset[int], ...]) -> bool:
@@ -598,8 +596,8 @@ def contains_induced(g: Graph, h: Graph) -> bool:
         return True
     _check_limit("exact_n", k, "isomorphism supported for n <= {limit}, got {n}")
     _check_limit("exact_n", g.n, "induced-subgraph search supported for hosts with n <= {limit}, got {n}")
-    if k <= LIMITS["walk_k"]:
-        return _induces_mask_in(g, _copy_levels(h))
+    if (levels := _copy_table(h)) is not None:
+        return _induces_mask_in(g, levels)
     return any(is_isomorphic(induced_subgraph(g, s), h) for s in combinations(range(1, g.n + 1), k))
 
 

@@ -40,7 +40,6 @@ from fractions import Fraction
 from math import ceil, comb
 
 from .graphs import (
-    LIMITS,
     Graph,
     automorphism_count,
     canonical_form,
@@ -48,7 +47,8 @@ from .graphs import (
     is_isomorphic,
     _class_law,
     _columns,
-    _copy_set,
+    _copy_table,
+    _labeled_copy_masks,
     _check_edge_cap,
     _check_limit,
     _json_text,
@@ -70,6 +70,15 @@ class Binomial:
     """In-degree of vertex t distributed Bi(t-1, p)."""
 
     p: Fraction | float
+
+    def __post_init__(self) -> None:
+        _check_probability(self.p)
+
+
+def _check_probability(p) -> None:
+    """Refuse a coin probability outside [0, 1] before any draw."""
+    if not 0 <= Fraction(p) <= 1:
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
 
 
 def _coin_threshold(p) -> float:
@@ -94,6 +103,7 @@ def _draw_in_degree(dist, rng: random.Random, t: int) -> int:
 
 def sample_gnp(n: int, p, seed: int) -> Graph:
     """One draw of G(n, p): an independent biased coin per vertex pair."""
+    _check_probability(p)
     _check_edge_cap(comb(max(n, 0), 2), f"a {n}-vertex sample")
     threshold = _coin_threshold(p)
     rng = random.Random(seed)
@@ -131,9 +141,11 @@ def sample_vertex_addition(n: int, dist, seed: int) -> Graph:
 def distinct_labeled_copies(g: Graph) -> list[int]:
     """Edge masks of all distinct labelled graphs isomorphic to g, ascending,
     in the colex encoding of `graphs` (dyad (i, j), i < j, at bit
-    C(j-1, 2) + i-1); the count equals n!/|Aut(g)|."""
-    _check_limit("copy_set_n", g.n, "labelled-copy enumeration supported for n <= {limit}")
-    return sorted(_copy_set(g))
+    C(j-1, 2) + i-1); the count equals n!/|Aut(g)|.  The definition that
+    likelihood_exact is tested against, bounded with the class law."""
+    _check_limit("class_law_n", g.n, "labelled-copy enumeration supported for n <= {limit}")
+    levels = _copy_table(g)
+    return sorted(levels[-1] if levels is not None else _labeled_copy_masks(g))
 
 
 def likelihood_exact(g: Graph) -> Fraction:
@@ -217,14 +229,14 @@ def _ua_masks(n: int, samples: int, rng: random.Random):
 
 def _count_copies(g: Graph, masks) -> int:
     """How many of the drawn edge masks are copies of g: the one Monte-Carlo
-    hit loop, shared by likelihood_mc and trees.tree_positivity_check.  For
-    n <= LIMITS["copy_set_n"] a hit is membership in the set of g's labelled
-    copies, `graphs._copy_set`.  Above that, the edge count and degree
-    sequence of the mask reject most draws before a Graph is decoded for
-    is_isomorphic.  Callers check their size bounds before the first draw."""
+    hit loop, shared by likelihood_mc and trees.tree_positivity_check.  When
+    g has a cached copy table, `graphs._copy_table`, a hit is membership in
+    its top level.  Otherwise the edge count and degree sequence of the mask
+    reject most draws before a Graph is decoded for is_isomorphic.  Callers
+    check their size bounds before the first draw."""
+    if (levels := _copy_table(g)) is not None:
+        return sum(map(levels[-1].__contains__, masks))
     n = g.n
-    if n <= LIMITS["copy_set_n"]:
-        return sum(map(_copy_set(g).__contains__, masks))
     dyads = {bit.bit_length() - 1: (v, t) for t, bits in _columns(n) for v, bit in enumerate(bits, 1)}
     stars = [sum(1 << k for k, dyad in dyads.items() if v in dyad) for v in range(1, n + 1)]
     target_m = g.edge_count

@@ -354,6 +354,15 @@ def test_random_va_refuses_a_p_its_distribution_does_not_read(capsys, monkeypatc
     assert main(["random", "va", "--n", "3", "--seed", "1"]) == 0
 
 
+def test_random_probability_errors_quote_the_parsed_text(capsys) -> None:
+    """The CLI checks --p as text before the library's own check on the
+    value, so "1.50" is quoted as typed, not as the library's 3/2."""
+    for sampler in (["gnp"], ["va", "--dist", "binomial"]):
+        for p in ("3/2", "1.50", "-1"):
+            assert main(["random", *sampler, "--n", "3", "--p", p, "--seed", "1"]) == 2
+            assert capsys.readouterr() == ("", f"error: probability must lie in [0, 1], got {p}\n")
+
+
 def test_tree_sample_output() -> None:
     r = run_cli("tree", "sample", "--n", "10", "--seed", "1", "--format", "json")
     assert r.returncode == 0

@@ -48,6 +48,7 @@ from graphforge.graphs import (
     _labeled_copy_masks,
 )
 from graphforge import graphs as graphs_module
+from graphforge import randomness as randomness_module
 from graphforge.machines import NO_MEMORY, interpret, parse_model, parse_rule
 from graphforge.randomness import distinct_labeled_copies, likelihood_mc, sample_gnp
 from graphforge.trees import sample_ua, tree_positivity_check, ua_likelihood_exact
@@ -426,25 +427,28 @@ def test_copy_tables_are_built_once_per_pattern(monkeypatch) -> None:
 
 
 def test_copy_sets_above_walk_k_are_built_per_call(monkeypatch) -> None:
-    """A 7-vertex copy set is built for each call and not kept: the cached
-    tables stay those of patterns with at most walk_k vertices."""
+    """Only distinct_labeled_copies builds a 7-vertex copy set, once per
+    call, and keeps none: the hit loop matches 7-vertex draws by
+    isomorphism, and the cached tables stay those of patterns with at most
+    walk_k vertices."""
     builds = []
 
     def counted(h: Graph) -> set[int]:
         builds.append(h)
         return _labeled_copy_masks(h)
 
-    monkeypatch.setattr(graphs_module, "_labeled_copy_masks", counted)
+    for module in (graphs_module, randomness_module):
+        monkeypatch.setattr(module, "_labeled_copy_masks", counted)
     _copy_levels.cache_clear()
     seven = add_vertex(path_graph(6), [2, 4])
     first = distinct_labeled_copies(seven)
     assert distinct_labeled_copies(seven) == first
     assert likelihood_mc(seven, 200, 3).hits == likelihood_mc(seven, 200, 3).hits
-    assert builds == [seven] * 4 and _copy_levels.cache_info().currsize == 0
+    assert builds == [seven] * 2 and _copy_levels.cache_info().currsize == 0
     assert len(first) == factorial(7) // automorphism_count(seven)
     distinct_labeled_copies(path_graph(6))
     distinct_labeled_copies(path_graph(6))
-    assert builds[4:] == [path_graph(6)] and _copy_levels.cache_info().currsize == 1
+    assert builds[2:] == [path_graph(6)] and _copy_levels.cache_info().currsize == 1
 
 
 def test_contains_induced_checks_the_isomorphism_bound() -> None:

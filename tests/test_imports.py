@@ -1,6 +1,6 @@
 """Every name a graphforge module imports is used in that module, every
 private module-level name is used somewhere in the package, and no module
-reads the size limits at import."""
+reads the size limits at import or names a route bound outside its owner."""
 
 from __future__ import annotations
 
@@ -146,3 +146,33 @@ def test_no_module_reads_limits_at_import() -> None:
         or (isinstance(node, ast.Attribute) and node.attr == "LIMITS")
     ]
     assert reads == []
+
+
+def _constant_owners(tree: ast.Module, value: str) -> list[str]:
+    """The innermost function around each constant equal to value, or
+    "<module>" for one outside every function."""
+    owners = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.Constant) and node.value == value:
+            owners.append(owner)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_one_function_chooses_the_copy_table_route() -> None:
+    """Every labelled-copy question asks graphs._copy_table whether a cached
+    table serves it, so walk_k is named only by that function and by the
+    LIMITS table itself, and the retired copy_set_n bound is named nowhere."""
+    owners = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _constant_owners(ast.parse(path.read_text(), path.name), "walk_k"))
+    }
+    assert owners == {"graphs.py": ["<module>", "_copy_table"]}
+    assert [p.name for p in PACKAGE.glob("*.py") if "copy_set_n" in p.read_text()] == []

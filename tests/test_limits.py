@@ -93,7 +93,7 @@ CASES = [
      "tree class enumeration supported for 1 <= n <= 7", True),
     ("exact_n", "8", lambda s: ua_likelihood_exact(path_graph(s)),
      "exact tree likelihood supported for n <= 12", True),
-    ("copy_set_n", "9", lambda s: distinct_labeled_copies(path_graph(s)),
+    ("class_law_n", "9", lambda s: distinct_labeled_copies(path_graph(s)),
      "labelled-copy enumeration supported for n <= 7", True),
     ("labelled_trees_n", "10", enumerate_labeled_trees,
      "labelled-tree enumeration supported for 1 <= n <= 7", True),
@@ -165,8 +165,7 @@ def test_case_ids_are_unique() -> None:
 
 
 def test_every_entry_is_read_by_some_case() -> None:
-    # walk_k and the copy_set_n route of the hit loop choose a route, not an
-    # error; the route tests below cover them
+    # walk_k chooses a route, not an error; the route tests below cover it
     assert {entry for entry, *_ in CASES} | {"walk_k"} == set(LIMITS)
 
 
@@ -228,6 +227,19 @@ def test_every_constructor_refuses_more_edges_than_the_cap_before_building(
     assert str(exc.value) == f"{message}; limit 100"
 
 
+@pytest.mark.parametrize("parts", [(-1, 5), (-3, 5), (5, -1), (0, -1), (-2, -2)])
+def test_complete_bipartite_refuses_a_negative_part_before_building(monkeypatch, parts) -> None:
+    # K-1,5 once returned E4, while complete_graph(-1) and complete_split(-2, 3) refused
+    def refuse(*args):
+        raise AssertionError("a negative part was built")
+
+    for built_with in BUILD:
+        monkeypatch.setattr(graphs, built_with, refuse, raising=False)
+    with pytest.raises(ValueError) as exc:
+        graphs.complete_bipartite(*parts)
+    assert str(exc.value) == f"complete bipartite parts must be nonnegative, got {parts[0]} and {parts[1]}"
+
+
 def test_a_lowered_matrix_cap_names_its_largest_size(monkeypatch) -> None:
     monkeypatch.setitem(LIMITS, "matrix_bits", comb(50, 2) - 1)
     with pytest.raises(ValueError) as exc:
@@ -248,16 +260,21 @@ def test_walk_k_chooses_the_induced_subgraph_route(monkeypatch) -> None:
     assert contains_induced(host, path_graph(4)) and not contains_induced(host, cycle_graph(4))
 
 
-def test_copy_set_n_chooses_the_hit_loop_route(monkeypatch) -> None:
-    target = complete_graph(3)
-    hits = likelihood_mc(target, 300, 5).hits
+def test_walk_k_chooses_the_hit_loop_route(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("the hit loop took the other route")
 
-    def refuse(g):
-        raise AssertionError("targets above copy_set_n are not matched by copy set")
-
-    monkeypatch.setattr(randomness, "_copy_set", refuse)
-    monkeypatch.setitem(LIMITS, "copy_set_n", 2)
+    target, tree = complete_graph(3), path_graph(3)
+    with monkeypatch.context() as patched:
+        patched.setattr(randomness, "is_isomorphic", refuse)
+        hits = likelihood_mc(target, 300, 5).hits
+        tree_hits = tree_positivity_check(tree, 300, 5)
+    assert hits > 0 and tree_hits[0] > 0
+    for work in ("_copy_levels", "_labeled_copy_masks"):
+        monkeypatch.setattr(graphs, work, refuse)
+    monkeypatch.setitem(LIMITS, "walk_k", 2)
     assert likelihood_mc(target, 300, 5).hits == hits
+    assert tree_positivity_check(tree, 300, 5) == tree_hits
 
 
 def test_cli_help_reads_the_table(monkeypatch) -> None:

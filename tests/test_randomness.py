@@ -6,12 +6,13 @@ import json
 import random
 from fractions import Fraction
 from math import ceil, comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphforge import randomness
+from graphforge import graphs, randomness
 from graphforge.graphs import (
     LIMITS,
     Graph,
@@ -59,6 +60,16 @@ EXTREMES = {
     5: {"min": Fraction(1, 270), "ties": 1, "max": Fraction(307, 4320)},
     6: {"min": Fraction(23, 259200), "ties": 2, "max": Fraction(1927, 86400)},
 }
+
+
+# The three likeliest classes on 7 vertices under the uniform process; the
+# first two, complements of each other, are asymmetric.
+LIKELIEST_7 = [
+    Graph.from_pairs(7, [(1, 5), (1, 6), (1, 7), (2, 6), (2, 7), (3, 7), (6, 7)]),
+    Graph.from_pairs(7, [(1, 4), (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (2, 7), (3, 5), (3, 7), (4, 6), (4, 7),
+                         (5, 6), (5, 7), (6, 7)]),
+    Graph.from_pairs(7, [(1, 5), (1, 6), (1, 7), (2, 6), (2, 7), (3, 7), (5, 6), (5, 7), (6, 7)]),
+]
 
 
 def complement(g: Graph) -> Graph:
@@ -133,6 +144,27 @@ def test_samplers_reject_sizes_over_the_edge_cap() -> None:
         sample_gnp(-2000, 0, seed=1)
     with pytest.raises(ValueError, match="process needs at least one vertex"):
         sample_vertex_addition(-2000, Uniform(), seed=1)
+
+
+def test_samplers_refuse_a_probability_outside_the_unit_interval(monkeypatch) -> None:
+    """One check, before any draw: G(n, p) once returned K3 at p = 2 and E3
+    at p = -1, and the binomial process K4 at p = 2."""
+    def refuse(seed):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(randomness, "random", SimpleNamespace(Random=refuse))
+    for p, shown in ((2, "2"), (-1, "-1"), (Fraction(3, 2), "3/2"), (1.5, "1.5"), (-0.25, "-0.25")):
+        for call in (
+            lambda: sample_gnp(3, p, 1),
+            lambda: sample_vertex_addition(4, Binomial(p), 1),
+            lambda: sample_vertex_addition(1, Binomial(p), 1),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"probability must lie in [0, 1], got {shown}"
+    monkeypatch.undo()
+    assert sample_gnp(3, 1, 1) == complete_graph(3) and sample_gnp(3, 0, 1) == empty_graph(3)
+    assert sample_vertex_addition(4, Binomial(1), 1) == complete_graph(4)
 
 
 def test_distinct_labeled_copies_counts() -> None:
@@ -293,15 +325,15 @@ def _va_hits_reference(g: Graph, samples: int, seed: int) -> int:
 def test_likelihood_mc_matches_the_reference_hit_loop() -> None:
     targets = [
         complete_graph(3), path_graph(4), cycle_graph(5), path_graph(6), complete_bipartite(3, 3),
-        cycle_graph(7), path_graph(7),  # the last size on the copy-mask route
+        cycle_graph(7), path_graph(7),  # the first size past the copy-table route
     ]
     for g in targets:
         for seed in range(10):
             assert likelihood_mc(g, samples=1000, seed=seed).hits == _va_hits_reference(
                 g, 1000, seed
             ), (g, seed)
-    # 7 vertices end the copy-mask route, 8 and 12 take the is_isomorphic
-    # route; a target equal to its seed's first draw makes each route score hits
+    # 7, 8 and 12 vertices take the is_isomorphic route; a target equal to
+    # its seed's first draw makes each size score hits
     for n in (7, 8, 12):
         for seed in range(5):
             g = sample_vertex_addition(n, Uniform(), seed)
@@ -369,8 +401,32 @@ def test_small_targets_build_no_graph_per_draw(monkeypatch) -> None:
 
     monkeypatch.setattr(randomness, "is_isomorphic", refuse)
     monkeypatch.setattr(randomness, "Graph", refuse)
-    for g in (complete_graph(1), complete_graph(3), cycle_graph(7), path_graph(7)):
+    for g in (complete_graph(1), complete_graph(3), cycle_graph(6), path_graph(6)):
         assert likelihood_mc(g, samples=500, seed=3).hits == _va_hits_reference(g, 500, 3)
+
+
+def test_seven_vertex_targets_take_the_decode_route(monkeypatch) -> None:
+    """Past walk_k a draw is matched by edge count, degree sequence and then
+    is_isomorphic, and no Monte-Carlo call builds a labelled-copy set."""
+    def refuse(*args):
+        raise AssertionError("a Monte-Carlo call built a copy set")
+
+    decoded = []
+
+    def counted(g: Graph, h: Graph) -> bool:
+        decoded.append(g.n)
+        return is_isomorphic(g, h)
+
+    monkeypatch.setattr(graphs, "_labeled_copy_masks", refuse)
+    monkeypatch.setattr(randomness, "is_isomorphic", counted)
+    for g in (cycle_graph(7), path_graph(7), complete_bipartite(3, 4), *LIKELIEST_7):
+        for seed in range(10):
+            assert likelihood_mc(g, samples=500, seed=seed).hits == _va_hits_reference(g, 500, seed), (g, seed)
+    assert set(decoded) == {7}
+    # a target equal to its seed's first draw is decoded at least once
+    for n in range(8, LIMITS["exact_n"] + 1):
+        assert likelihood_mc(sample_vertex_addition(n, Uniform(), n), 100, n).hits >= 1
+    assert set(decoded) == set(range(7, LIMITS["exact_n"] + 1))
 
 
 def test_extremes_table_shape() -> None:

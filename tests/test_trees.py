@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphforge import randomness, trees
+from graphforge import graphs, randomness, trees
 from graphforge.graphs import (
     LIMITS,
     Graph,
@@ -232,15 +232,15 @@ def _ua_hits_reference(t_graph: Graph, samples: int, seed: int) -> int:
 def test_tree_positivity_check_matches_the_reference_hit_loop() -> None:
     trees = (
         path_graph(5), path_graph(6), complete_bipartite(1, 4), complete_bipartite(1, 5),
-        path_graph(7), complete_bipartite(1, 6),  # the last size on the copy-mask route
+        path_graph(7), complete_bipartite(1, 6),  # the first size past the copy-table route
     )
     for tree in trees:
         for seed in range(10):
             assert tree_positivity_check(tree, samples=1000, seed=seed)[0] == _ua_hits_reference(
                 tree, 1000, seed
             ), (tree, seed)
-    # 7 vertices end the copy-mask route, 8 and 12 take the is_isomorphic
-    # route; a tree equal to its seed's first draw makes each route score hits
+    # 7, 8 and 12 vertices take the is_isomorphic route; a tree equal to its
+    # seed's first draw makes each size score hits
     for n in (7, 8, 12):
         for seed in range(5):
             tree = sample_ua(n, seed)
@@ -259,8 +259,32 @@ def test_small_trees_build_no_graph_per_draw(monkeypatch) -> None:
 
     monkeypatch.setattr(randomness, "is_isomorphic", refuse)
     monkeypatch.setattr(randomness, "Graph", refuse)
-    for tree in (path_graph(2), path_graph(7), complete_bipartite(1, 6)):
+    for tree in (path_graph(2), path_graph(6), complete_bipartite(1, 5)):
         assert tree_positivity_check(tree, samples=500, seed=3)[0] == _ua_hits_reference(tree, 500, 3)
+
+
+def test_seven_vertex_trees_take_the_decode_route(monkeypatch) -> None:
+    """Past walk_k a draw is matched by edge count, degree sequence and then
+    is_isomorphic, and no positivity check builds a labelled-copy set."""
+    def refuse(*args):
+        raise AssertionError("a positivity check built a copy set")
+
+    decoded = []
+
+    def counted(g: Graph, h: Graph) -> bool:
+        decoded.append(g.n)
+        return is_isomorphic(g, h)
+
+    monkeypatch.setattr(graphs, "_labeled_copy_masks", refuse)
+    monkeypatch.setattr(randomness, "is_isomorphic", counted)
+    for tree in (path_graph(7), complete_bipartite(1, 6)):
+        for seed in range(10):
+            assert tree_positivity_check(tree, samples=500, seed=seed)[0] == _ua_hits_reference(tree, 500, seed)
+    assert set(decoded) == {7}
+    # a tree equal to its seed's first draw is decoded at least once
+    for n in range(8, LIMITS["exact_n"] + 1):
+        assert tree_positivity_check(sample_ua(n, n), 100, n)[0] >= 1
+    assert set(decoded) == set(range(7, LIMITS["exact_n"] + 1))
 
 
 def test_ua_sampler_rejects_sizes_over_the_edge_cap() -> None:
