@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, isqrt
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 # Every size bound in graphforge, by name: each entry point reads its entry
 # when called, before any work, and formats its error message from it.
@@ -60,19 +59,44 @@ def _check_edge_cap(worst: int, what: str) -> None:
         raise ValueError(f"{what} may build {worst} edges; limit {limit}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Immutable value whose annotations are its fields, like a frozen dataclass: it
+    compares by them and hashes by those not in `_unhashed`. Each subclass writes its __init__."""
+
+    def __init_subclass__(cls) -> None:
+        def get(names):  # obj -> the tuple of its fields `names`; attrgetter gives a bare value for one
+            if len(names) == 1:
+                return lambda obj, name=names[0]: (getattr(obj, name),)
+            return attrgetter(*names) if names else lambda obj: ()
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        key, hash_key = get(fields), get([f for f in fields if f not in getattr(cls, "_unhashed", ())])
+        cls.__eq__ = lambda self, other: key(self) == key(other) if other.__class__ is cls else NotImplemented
+        cls.__hash__ = lambda self: hash(hash_key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class Graph(_Value):
     """Immutable simple graph on vertices 1..n with edges (i, j), i < j."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) invalid for n={self.n}")
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        for i, j in edges:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"edge ({i}, {j}) invalid for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
@@ -119,8 +143,8 @@ class Graph:
 
 
 def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass `cls` with its fields set as
-    given, built without __init__ or __post_init__. Only for values the
+    """An instance of the value type `cls` with its fields set as given,
+    built without __init__ and so without its checks. Only for values the
     program made itself and knows valid; public constructors check."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)

@@ -38,12 +38,11 @@ tables below are one representative per swap orbit.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 from typing import NamedTuple
 
-from .graphs import Graph, empty_graph, to_json_obj, _check_edge_cap, _json_text, _unchecked
+from .graphs import Graph, empty_graph, to_json_obj, _Value, _check_edge_cap, _json_text, _unchecked
 
 
 class InvalidActionForModel(ValueError):
@@ -69,8 +68,7 @@ class Action(Enum):
         return None
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(NamedTuple):
     """Action table indexed by the instruction bit."""
 
     action_for_0: Action
@@ -150,11 +148,14 @@ def canonical_rule(rule: RuleSet) -> RuleSet:
     raise ValueError(f"rule {rule.mnemonic} has no canonical representative")
 
 
-@dataclass(frozen=True)
-class MemoryModel:
+class MemoryModel(_Value):
+    _unhashed = ("window",)  # before Python 3.12 None hashes by its address, which differs by process
     kind: str  # "none" | "full" | "fading" | "modifiable"
-    # not hashed: before Python 3.12 None hashes by its address, which differs by process
-    window: int | None = field(default=None, hash=False)
+    window: int | None
+
+    def __init__(self, kind: str, window: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "window", window)
 
     def __str__(self) -> str:
         return f"fading({self.window})" if self.kind == "fading" else self.kind
@@ -187,22 +188,22 @@ def parse_model(text: str) -> MemoryModel:
         raise ValueError(f"unknown memory model {text!r}") from None
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Value):
     """A graph together with the per-vertex instruction bits that built it."""
 
     graph: Graph
     labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != self.graph.n:
+    def __init__(self, graph: Graph, labels: tuple[int, ...]) -> None:
+        if len(labels) != graph.n:
             raise ValueError("labels must cover every vertex")
-        if any(b not in (0, 1) for b in self.labels):
+        if any(b not in (0, 1) for b in labels):
             raise ValueError("labels must be bits")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labels", labels)
 
 
-@dataclass(frozen=True)
-class ResourceCost:
+class ResourceCost(NamedTuple):
     instruction_bits: int
     memory_bits: int
     random_bits: int
@@ -219,14 +220,18 @@ class StepRecord(NamedTuple):
     edges_added: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(_Value):
+    _unhashed = ("choices",)  # may be None: see MemoryModel
     rule: RuleSet
     model: MemoryModel
     x: str
-    choices: str | None = field(hash=False)  # may be None: see MemoryModel.window
+    choices: str | None
     steps: tuple[StepRecord, ...]
     final: LabeledGraph
+
+    def __init__(self, rule, model, x, choices, steps, final) -> None:
+        for name, value in zip(self._fields, (rule, model, x, choices, steps, final)):
+            object.__setattr__(self, name, value)
 
     @property
     def cost(self) -> ResourceCost:

@@ -35,9 +35,9 @@ Theta(n^2), the same order as the dyad budget C(n,2).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, isfinite
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -49,6 +49,7 @@ from .graphs import (
     _columns,
     _copy_table,
     _labeled_copy_masks,
+    _Value,
     _check_edge_cap,
     _check_limit,
     _json_text,
@@ -60,24 +61,23 @@ from .graphs import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(_Value):
     """In-degree of vertex t uniform on {0, ..., t-1}."""
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(_Value):
     """In-degree of vertex t distributed Bi(t-1, p)."""
 
     p: Fraction | float
 
-    def __post_init__(self) -> None:
-        _check_probability(self.p)
+    def __init__(self, p: Fraction | float) -> None:
+        _check_probability(p)
+        object.__setattr__(self, "p", p)
 
 
 def _check_probability(p) -> None:
-    """Refuse a coin probability outside [0, 1] before any draw."""
-    if not 0 <= Fraction(p) <= 1:
+    """Refuse a coin probability outside [0, 1], NaN included, before any draw."""
+    if (isinstance(p, float) and not isfinite(p)) or not 0 <= Fraction(p) <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
 
 
@@ -158,8 +158,7 @@ def likelihood_exact(g: Graph) -> Fraction:
     return _class_law(n)[canonical_form(g)][1]
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     estimate: float
     stderr: float
     hits: int
@@ -286,8 +285,7 @@ def likelihood_bounds(g: Graph) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassLikelihood:
+class ClassLikelihood(NamedTuple):
     graph: Graph
     certificate: str
     edge_count: int
@@ -297,8 +295,7 @@ class ClassLikelihood:
     upper: Fraction
 
 
-@dataclass(frozen=True)
-class LikelihoodTable:
+class LikelihoodTable(NamedTuple):
     n: int
     rows: tuple[ClassLikelihood, ...]  # ascending by certificate
 

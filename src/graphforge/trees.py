@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
@@ -35,26 +34,32 @@ from .graphs import (
     _check_edge_cap,
     _check_limit,
     _tree_adjacency,
+    _Value,
 )
 from .machines import ResourceCost
 from .randomness import _count_copies, _ua_masks
 
 
-@dataclass(frozen=True)
-class ParentVector:
+class ParentVector(_Value):
     """parents[k] is the parent of vertex k+2; vertex 1 is the root."""
 
     n: int
     parents: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, parents: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("need at least one vertex")
-        if len(self.parents) != self.n - 1:
-            raise ValueError(f"need parents for vertices 2..{self.n}")
-        for t, p in enumerate(self.parents, start=2):
+        if len(parents) != n - 1:
+            raise ValueError(f"need parents for vertices 2..{n}")
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
+        for t, p in enumerate(parents, start=2):
             if not (1 <= p < t):
                 raise ValueError(f"parent of vertex {t} must lie in 1..{t - 1}, got {p}")
+            if type(p) is not int:
+                raise ValueError(f"parent of vertex {t} must be an int, got {p!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parents", parents)
 
     def parent(self, t: int) -> int:
         if not (2 <= t <= self.n):

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .families import (
     alternating_runs,
@@ -99,8 +99,7 @@ PROPOSITION_IDS = ("P2", "P3", "P5", "C_modifiable", "C_pnfree")
 _FADING = fading_memory(2)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     rule: str
     model: str
     x: str
@@ -109,11 +108,10 @@ class Counterexample:
     got: str
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     proposition: str
     max_n: int
     rules: tuple[str, ...]

@@ -1,10 +1,14 @@
 """Every name a graphforge module imports is used in that module, every
-private module-level name is used somewhere in the package, and no module
-reads the size limits at import or names a route bound outside its owner."""
+private module-level name is used somewhere in the package, no module
+reads the size limits at import or names a route bound outside its owner,
+and importing graphforge loads neither `dataclasses` nor `inspect`."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -176,3 +180,28 @@ def test_one_function_chooses_the_copy_table_route() -> None:
     }
     assert owners == {"graphs.py": ["<module>", "_copy_table"]}
     assert [p.name for p in PACKAGE.glob("*.py") if "copy_set_n" in p.read_text()] == []
+
+
+def test_no_module_imports_dataclasses() -> None:
+    """The value types are NamedTuples or `graphs._Value` classes: importing
+    `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize`) and running
+    its decorator took about two thirds of graphforge's import time."""
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), path.name))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert importers == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect() -> None:
+    """-S keeps the interpreter's site-packages start-up imports out of the
+    count, so only what graphforge itself imports is seen."""
+    script = "import graphforge.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"

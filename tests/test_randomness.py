@@ -148,12 +148,14 @@ def test_samplers_reject_sizes_over_the_edge_cap() -> None:
 
 def test_samplers_refuse_a_probability_outside_the_unit_interval(monkeypatch) -> None:
     """One check, before any draw: G(n, p) once returned K3 at p = 2 and E3
-    at p = -1, and the binomial process K4 at p = 2."""
+    at p = -1, and the binomial process K4 at p = 2; inf and NaN once raised
+    OverflowError or "cannot convert NaN to integer ratio" instead."""
     def refuse(seed):
         raise AssertionError("a draw was made")
 
     monkeypatch.setattr(randomness, "random", SimpleNamespace(Random=refuse))
-    for p, shown in ((2, "2"), (-1, "-1"), (Fraction(3, 2), "3/2"), (1.5, "1.5"), (-0.25, "-0.25")):
+    non_finite = ((float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"))
+    for p, shown in ((2, "2"), (-1, "-1"), (Fraction(3, 2), "3/2"), (1.5, "1.5"), (-0.25, "-0.25"), *non_finite):
         for call in (
             lambda: sample_gnp(3, p, 1),
             lambda: sample_vertex_addition(4, Binomial(p), 1),

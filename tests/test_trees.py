@@ -63,6 +63,23 @@ def test_parent_vector_validation() -> None:
     assert ParentVector(3, (1, 2)).to_json_array() == [None, None, 1, 2]
 
 
+def test_parent_vector_refuses_non_int_entries() -> None:
+    """A bool or float once passed the range checks: (True,) stood for the
+    tree 1-2. Out-of-range entries keep their range message."""
+    for n, parents, message in (
+        (2, (True,), "parent of vertex 2 must be an int, got True"),
+        (3, (1, 1.0), "parent of vertex 3 must be an int, got 1.0"),
+        (True, (), "vertex count must be an int, got True"),
+        (2.0, (1,), "vertex count must be an int, got 2.0"),
+        (3, (1, 2.5), "parent of vertex 3 must be an int, got 2.5"),
+        (3, (1, 3.0), "parent of vertex 3 must lie in 1..2, got 3.0"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            ParentVector(n, parents)
+        assert str(exc.value) == message
+    assert decode_parent_bits("0", 2) == ParentVector(2, (1,))
+
+
 def test_build_tree_from_instructions() -> None:
     g = build_tree_from_instructions(ParentVector(4, (1, 1, 1)))
     assert is_isomorphic(g, complete_bipartite(1, 3))
