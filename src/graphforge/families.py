@@ -56,37 +56,26 @@ def runs_of_ones(x: str) -> RunStatistics:
 def alternating_runs(x: str) -> RunStatistics:
     """Lengths (at least 2) of maximal substrings whose consecutive bits all
     differ.  Single positions flanked by equal bits are not counted."""
-    check_bits(x)
-    out = []
-    run = 1
-    for t in range(1, len(x)):
-        if x[t] != x[t - 1]:
-            run += 1
-        else:
-            if run >= 2:
-                out.append(run)
-            run = 1
-    if run >= 2:
-        out.append(run)
-    return tuple(out)
+    return _linked_blocks(x, str.__ne__)
 
 
 def zero_anchored_blocks(x: str) -> RunStatistics:
     """Component sizes (at least 2) when position t is linked to t+1 exactly
     for x_t = 0: each 0 pulls its successor into the same block."""
+    return _linked_blocks(x, lambda prev, bit: prev == "0")
+
+
+def _linked_blocks(x: str, linked) -> RunStatistics:
+    """Sizes (at least 2) of the maximal blocks of positions, left to right,
+    where position t joins the block of t-1 exactly when linked(x[t-1], x[t])."""
     check_bits(x)
-    out = []
-    size = 1
-    for t in range(1, len(x)):
-        if x[t - 1] == "0":
-            size += 1
+    sizes = [1]
+    for joined in map(linked, x, x[1:]):
+        if joined:
+            sizes[-1] += 1
         else:
-            if size >= 2:
-                out.append(size)
-            size = 1
-    if size >= 2:
-        out.append(size)
-    return tuple(out)
+            sizes.append(1)
+    return tuple(size for size in sizes if size >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +156,18 @@ def family_Eprime(x: str) -> LabeledGraph:
 
 def full_table_family(rule: RuleSet, x: str) -> LabeledGraph:
     """Closed-form graph the full-memory machine is claimed to build."""
-    try:
-        pred = _FULL_PREDICATES[rule.mnemonic]
-    except KeyError:
-        raise ValueError(f"rule {rule.mnemonic} is not one of the canonical tables") from None
-    return _from_predicate(x, pred)
+    return _table_family(_FULL_PREDICATES, rule, x)
 
 
 def fading_table_family(rule: RuleSet, x: str) -> LabeledGraph:
     """Closed-form graph the fading-memory machine is claimed to build."""
-    try:
-        pred = _FADING_PREDICATES[rule.mnemonic]
-    except KeyError:
-        raise ValueError(f"rule {rule.mnemonic} is not one of the canonical tables") from None
-    return _from_predicate(x, pred)
+    return _table_family(_FADING_PREDICATES, rule, x)
+
+
+def _table_family(predicates: dict, rule: RuleSet, x: str) -> LabeledGraph:
+    if rule.mnemonic not in predicates:
+        raise ValueError(f"rule {rule.mnemonic} is not one of the canonical tables")
+    return _from_predicate(x, predicates[rule.mnemonic])
 
 
 def fading_path_sizes(rule: RuleSet, x: str) -> RunStatistics | None:

@@ -25,7 +25,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb, factorial, isqrt
 from operator import attrgetter, itemgetter
 
@@ -95,6 +95,8 @@ class Graph(_Value):
         for i, j in edges:
             if not (1 <= i < j <= n):
                 raise ValueError(f"edge ({i}, {j}) invalid for n={n}")
+        if type(n) is not int or type(edges) is not frozenset:
+            raise ValueError(f"need an int n and frozenset edges, got {n!r} and {type(edges).__name__}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
@@ -684,10 +686,12 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def _tree_adjacency(g: Graph) -> list[list[int]] | None:
-    """Each vertex's neighbours (index 0 unused) when g is a tree, else None.
-    A tree has n - 1 edges and a search from vertex 1 reaches every vertex.
-    Built from `edges` alone, so a large sparse tree never builds its rows."""
+def _tree_adjacency(g: Graph) -> tuple[list[list[int]], dict[int, int]] | None:
+    """When g is a tree, each vertex's neighbours (index 0 unused) and each
+    vertex's neighbour toward vertex 1 (0 for vertex 1), the latter keyed in
+    the order a search from vertex 1 finds them, each after its parent; else
+    None. A tree has n - 1 edges and the search reaches every vertex. Built
+    from `edges` alone, so a large sparse tree never builds its rows."""
     n = g.n
     if n < 1 or len(g.edges) != n - 1:
         return None
@@ -695,14 +699,15 @@ def _tree_adjacency(g: Graph) -> list[list[int]] | None:
     for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = {1}
+    parent = {1: 0}
     stack = [1]
     while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
                 stack.append(w)
-    return adj if len(seen) == n else None
+    return (adj, parent) if len(parent) == n else None
 
 
 def is_tree(g: Graph) -> bool:
@@ -747,8 +752,10 @@ def to_json(g: Graph) -> str:
 
 def from_json_obj(obj: dict) -> Graph:
     try:
-        n = int(obj["n"])
-        pairs = [(int(a), int(b)) for a, b in obj["edges"]]
+        n, pairs = obj["n"], [(a, b) for a, b in obj["edges"]]
+        for v in (n, *chain.from_iterable(pairs)):
+            if type(v) is not int:
+                raise TypeError(f"{v!r} is not an integer")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph object: {exc}") from exc
     return Graph.from_pairs(n, pairs)

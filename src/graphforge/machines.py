@@ -271,11 +271,7 @@ class ConstructionTrace(_Value):
             ],
             "graph": to_json_obj(self.final.graph),
             "labels": list(self.final.labels),
-            "cost": {
-                "instruction_bits": self.cost.instruction_bits,
-                "memory_bits": self.cost.memory_bits,
-                "random_bits": self.cost.random_bits,
-            },
+            "cost": self.cost._asdict(),
         }
 
     def to_json(self) -> str:

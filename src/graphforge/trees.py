@@ -102,29 +102,16 @@ def is_recursive_tree(g: Graph) -> bool:
 
 def root_path(g: Graph, v: int) -> tuple[int, ...]:
     """The unique path from vertex 1 to v in a tree, endpoints included."""
-    adj = _tree_adjacency(g)
-    if adj is None:
+    tree = _tree_adjacency(g)
+    if tree is None:
         raise ValueError("root paths are defined for trees only")
-    parent = _toward_root(adj)
+    if not (1 <= v <= g.n):
+        raise ValueError(f"vertex {v} outside 1..{g.n}")
+    parent = tree[1]
     path = [v]
     while path[-1] != 1:
         path.append(parent[path[-1]])
     return tuple(reversed(path))
-
-
-def _toward_root(adj: list[list[int]]) -> dict[int, int]:
-    """Each vertex's neighbour toward vertex 1 in the tree whose neighbour
-    lists are `adj` (0 for vertex 1), keyed in the order the search finds
-    them, each vertex after its parent."""
-    parent = {1: 0}
-    queue = [1]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return parent
 
 
 def leaves(g: Graph) -> tuple[int, ...]:
@@ -148,7 +135,7 @@ def prufer_encode(g: Graph) -> tuple[int, ...]:
     tree = _tree_adjacency(g)
     if tree is None:
         raise ValueError("only trees have a code")
-    adj = [set(nbs) for nbs in tree]
+    adj = [set(nbs) for nbs in tree[0]]
     heap = [v for v in range(1, g.n + 1) if len(adj[v]) == 1]  # ascending: a heap
     code = []
     for _ in range(g.n - 2):
@@ -198,12 +185,12 @@ def ua_likelihood_exact(t_graph: Graph) -> Fraction:
     T_v the subtree below v); moving the root from p to its child c
     multiplies R by |T_c|/(n - |T_c|).  Each recursive labelled copy is
     |Aut| of these labellings, so P = sum_r R(r) / (|Aut| (n-1)!)."""
-    adj = _tree_adjacency(t_graph)
-    if adj is None:
+    tree = _tree_adjacency(t_graph)
+    if tree is None:
         raise ValueError("likelihood under uniform attachment needs a tree")
     n = t_graph.n
     _check_limit("exact_n", n, "exact tree likelihood supported for n <= {limit}")
-    parent = _toward_root(adj)
+    parent = tree[1]
     size = dict.fromkeys(parent, 1)  # |T_v| with the tree rooted at vertex 1
     below_root = list(parent)[1:]
     for v in reversed(below_root):

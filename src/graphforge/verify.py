@@ -163,9 +163,10 @@ def _rules_for(model: MemoryModel) -> tuple[RuleSet, ...]:
     return NO_MEMORY_RULES if model.kind == "none" else FULL_RULES
 
 
-# a walk's refusals of n < 0 and of n above its bound
+# a walk's refusals of n < 0, of n above its bound and of an n that is not an int
 _WALK_REFUSALS = ("{what} needs n >= 0, got {n}",
-                  "{what} bounds: n <= {enumeration_n}, modifiable n <= {modifiable_n}")
+                  "{what} bounds: n <= {enumeration_n}, modifiable n <= {modifiable_n}",
+                  "{what} needs an int n, got {n!r}")
 
 
 def _check_walk_bound(model: MemoryModel, n: int, what: str, refusals=_WALK_REFUSALS) -> None:
@@ -176,6 +177,8 @@ def _check_walk_bound(model: MemoryModel, n: int, what: str, refusals=_WALK_REFU
     limit = LIMITS["modifiable_n" if model.kind == "modifiable" else "enumeration_n"]
     if not 0 <= n <= limit:
         raise ValueError(refusals[n > limit].format(what=what, n=n, limit=limit, **LIMITS))
+    if type(n) is not int:
+        raise ValueError(refusals[2].format(what=what, n=n, limit=limit, **LIMITS))
 
 
 # what a report keeps of a run: rule, model, x and choices replay it, graph is its output
@@ -494,7 +497,8 @@ def _report(check_id: str, max_n: int | None) -> VerificationReport:
         raise ValueError(f"unknown check {check_id!r}; expected one of {', '.join(CHECK_IDS)}")
     check, models, default_n = _CHECKS[check_id]
     bound = default_n if max_n is None else max_n
-    refusals = ("max_n must be nonnegative", "{what} supports max_n <= {limit}")
+    refusals = ("max_n must be nonnegative", "{what} supports max_n <= {limit}",
+                "max_n must be an int, got {n!r}")
     _check_walk_bound(models[-1], bound, check_id, refusals)
     started = time.monotonic()
     cxs: list[Counterexample] = []

@@ -48,6 +48,15 @@ def test_parse_graph_spec_json_form() -> None:
     assert g == path_graph(3)
 
 
+def test_json_specs_that_are_not_integral_are_refused(capsys) -> None:
+    for spec, bad in (('{"n": 2.7, "edges": []}', "2.7"), ('{"n": 2, "edges": [[1.9, 2]]}', "1.9"),
+                      ('{"n": true, "edges": []}', "True"), ('{"n": "3", "edges": []}', "'3'")):
+        assert main(["likelihood", "--graph", spec, "--bounds"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed graph object: {bad} is not an integer\n"
+
+
 def test_parse_graph_spec_rejects_garbage() -> None:
     for bad in ("Q4", "K", "P2,3", "K4,5,6", ""):
         with pytest.raises(ValueError):

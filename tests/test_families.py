@@ -70,6 +70,46 @@ def test_run_statistics_edge_cases() -> None:
     assert zero_anchored_blocks("0110") == (2,)
 
 
+def _alternating_runs_reference(x: str) -> tuple[int, ...]:
+    """alternating_runs as it stood before it shared the block counter."""
+    out = []
+    run = 1
+    for t in range(1, len(x)):
+        if x[t] != x[t - 1]:
+            run += 1
+        else:
+            if run >= 2:
+                out.append(run)
+            run = 1
+    if run >= 2:
+        out.append(run)
+    return tuple(out)
+
+
+def _zero_anchored_blocks_reference(x: str) -> tuple[int, ...]:
+    """zero_anchored_blocks as it stood before it shared the block counter."""
+    out = []
+    size = 1
+    for t in range(1, len(x)):
+        if x[t - 1] == "0":
+            size += 1
+        else:
+            if size >= 2:
+                out.append(size)
+            size = 1
+    if size >= 2:
+        out.append(size)
+    return tuple(out)
+
+
+def test_block_statistics_equal_their_references_on_every_short_string() -> None:
+    for n in range(13):
+        for k in range(2**n):
+            x = format(k, f"0{n}b") if n else ""
+            assert alternating_runs(x) == _alternating_runs_reference(x), x
+            assert zero_anchored_blocks(x) == _zero_anchored_blocks_reference(x), x
+
+
 @settings(max_examples=100, deadline=None)
 @given(x=BITS)
 def test_run_statistics_account_for_every_bit(x: str) -> None:

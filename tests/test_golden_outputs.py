@@ -19,6 +19,7 @@ import pytest
 
 from graphforge.cli import main
 from graphforge.graphs import canonical_form, enumerate_graph_classes, to_json
+from graphforge.machines import FULL_RULES, NO_MEMORY_RULES
 
 
 def _bits(seed: int, length: int) -> str:
@@ -116,6 +117,7 @@ GOLDEN: dict[str, str] = {
 CERTIFICATES_GOLDEN = "526bd0eeb4f4a12d599434ffa3ec4d5bcab82e49fade566971fc314c5d15e043"
 # The labelled representatives themselves, which the certificates cannot see.
 REPRESENTATIVES_GOLDEN = "3f730687ccc44a344862e1d47ec8895384eeb028a7f43d6129adfe54ed9f2adf"
+TRACES_GOLDEN = "c818b80bec2a9eb57eca3ea4dc26ffe0963b104d7f81281e82ba700ff6243b5a"
 
 
 def run_digest(argv: tuple[str, ...]) -> tuple[int, str]:
@@ -141,6 +143,32 @@ def representatives_digest() -> str:
     return h.hexdigest()
 
 
+def traces_argv() -> list[tuple[str, ...]]:
+    """200 seeded `build --trace` runs: every model, rules it accepts, strings
+    of length 0..12, and choices for the modifiable model."""
+    rng = random.Random(28)
+    runs = []
+    for _ in range(200):
+        model = rng.choice(["none", "full", "fading(2)", "modifiable"])
+        rule = rng.choice(NO_MEMORY_RULES if model == "none" else FULL_RULES).mnemonic
+        x = _bits(rng.random(), rng.randint(0, 12))
+        argv = ("build", "--rule", rule, "--model", model, "--x", x, "--trace")
+        if model == "modifiable":
+            argv += ("--choices", "".join(rng.choice("sm") for _ in x))
+        runs.append(argv)
+    return runs
+
+
+def traces_digest() -> str:
+    """Exit code and stdout digest of each run; a choice string may modify a
+    step its rule cannot, and that run's refusal (exit 2) is pinned too."""
+    h = hashlib.sha256()
+    for argv in traces_argv():
+        code, digest = run_digest(argv)
+        h.update(f"{code} {digest}\n".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_digest(name: str) -> None:
     code, digest = run_digest(CASES[name])
@@ -156,8 +184,13 @@ def test_class_representatives_match_golden_digest() -> None:
     assert representatives_digest() == REPRESENTATIVES_GOLDEN
 
 
+def test_seeded_build_traces_match_golden_digest() -> None:
+    assert traces_digest() == TRACES_GOLDEN
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f"    {name!r}: {run_digest(CASES[name])[1]!r},")
     print(f"CERTIFICATES_GOLDEN = {certificates_digest()!r}")
     print(f"REPRESENTATIVES_GOLDEN = {representatives_digest()!r}")
+    print(f"TRACES_GOLDEN = {traces_digest()!r}")

@@ -555,6 +555,40 @@ def test_json_round_trip() -> None:
     assert obj["n"] == 5 and len(obj["edges"]) == 5
 
 
+def test_json_graph_objects_take_integers_only() -> None:
+    """A JSON number that is not an integer, a bool or a string is refused,
+    in n or in an edge endpoint, where int() used to round or parse it."""
+    for text, bad in (
+        ('{"n": 2.7, "edges": []}', "2.7"),
+        ('{"n": 3.0, "edges": []}', "3.0"),
+        ('{"n": true, "edges": []}', "True"),
+        ('{"n": "3", "edges": []}', "'3'"),
+        ('{"n": 2, "edges": [[1.9, 2]]}', "1.9"),
+        ('{"n": 2, "edges": [[1, false]]}', "False"),
+        ('{"n": 3, "edges": [[1, 2], ["2", 3]]}', "'2'"),
+        ('{"n": Infinity, "edges": []}', "inf"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            from_json(text)
+        assert str(exc.value) == f"malformed graph object: {bad} is not an integer", text
+    assert from_json('{"n": 3, "edges": [[2, 1], [2, 3]]}') == path_graph(3)
+    with pytest.raises(ValueError, match="^malformed graph object: 'edges'$"):
+        from_json('{"n": 2}')
+
+
+def test_graph_refuses_a_non_int_count_or_edges_that_are_not_a_frozenset() -> None:
+    for n, edges, got in ((2.5, frozenset(), "2.5 and frozenset"), (True, frozenset(), "True and frozenset"),
+                          (2, [(1, 2)], "2 and list"), (2, {(1, 2)}, "2 and set")):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == f"need an int n and frozenset edges, got {got}"
+    # what the range checks refused before keeps their message
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -1\.5$"):
+        Graph(-1.5, [])
+    with pytest.raises(ValueError, match=r"^edge \(1, 3\) invalid for n=2$"):
+        Graph(2, [(1, 3)])
+
+
 def _edge_order_cases():
     """E_0, E_n, K_n, every labelled graph on n <= 4 vertices, 200 seeded
     G(n, p) with n <= 300 and p <= 1/4, and an 8,000-vertex fading(2) forest."""

@@ -120,6 +120,12 @@ def test_root_path_and_leaves() -> None:
     assert leaves(g) == (1, 3, 5)
 
 
+def test_root_path_refuses_a_vertex_outside_the_tree() -> None:
+    for v in (0, 4, 9, -1):
+        with pytest.raises(ValueError, match=rf"^vertex {v} outside 1\.\.3$"):
+            root_path(path_graph(3), v)
+
+
 def test_prufer_round_trip_exhaustive() -> None:
     for n in range(2, 7):
         for tree in enumerate_labeled_trees(n):
@@ -202,7 +208,7 @@ def test_ua_likelihood_total_mass_and_positivity() -> None:
 
 def test_ua_likelihood_closed_forms_up_to_the_exact_bound(monkeypatch) -> None:
     """P(P_n) = 2^(n-2)/(n-1)! and P(K_{1,n-1}) = 2/(n-1)!; n = 13 is refused
-    before any tree walk or automorphism count."""
+    before any factorial or automorphism count."""
     for n in range(3, 13):
         star = build_tree_from_instructions(ParentVector(n, (1,) * (n - 1)))
         assert ua_likelihood_exact(path_graph(n)) == Fraction(2 ** (n - 2), factorial(n - 1)), n
@@ -211,7 +217,7 @@ def test_ua_likelihood_closed_forms_up_to_the_exact_bound(monkeypatch) -> None:
     def refuse(g):
         raise AssertionError("a bound check let work start")
 
-    monkeypatch.setattr(trees, "_toward_root", refuse)
+    monkeypatch.setattr(trees, "factorial", refuse)
     monkeypatch.setattr(trees, "automorphism_count", refuse)
     with pytest.raises(ValueError) as exc:
         ua_likelihood_exact(path_graph(13))
@@ -451,6 +457,32 @@ def _path_by_rows(g: Graph, v: int) -> tuple[int, ...]:
     while path[-1] != 1:
         path.append(parent[path[-1]])
     return tuple(reversed(path))
+
+
+def _toward_root_reference(adj: list[list[int]]) -> dict[int, int]:
+    """The second search `root_path` and `ua_likelihood_exact` made before
+    the tree test's own search kept its parents."""
+    parent = {1: 0}
+    queue = [1]
+    while queue:
+        u = queue.pop()
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def test_tree_search_parents_equal_the_second_search_in_order() -> None:
+    rng = random.Random(28)
+    small = [g for n in range(1, 8) for g in enumerate_tree_classes(n)]
+    small += [g for n in range(1, 7) for g in enumerate_labeled_trees(n)]
+    large = [sample_ua(n, seed) for n in (40, 300, 2000) for seed in range(3)]
+    # a shuffled labelling moves vertex 1 off the root of the sampled tree
+    shuffled = [relabel(g, dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n)))) for g in large]
+    for g in small + large + shuffled:
+        adj, parent = graphs._tree_adjacency(g)
+        assert list(parent.items()) == list(_toward_root_reference(adj).items()), g.n
 
 
 def _seeded_trees():

@@ -87,6 +87,21 @@ def test_verify_rejects_unknown_proposition() -> None:
     assert len(PROPOSITION_IDS) == 5
 
 
+def test_walk_bounds_refuse_a_length_that_is_not_an_int() -> None:
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError) as exc:
+            verify_proposition("P2", bad)
+        assert str(exc.value) == f"max_n must be an int, got {bad!r}"
+        with pytest.raises(ValueError) as exc:
+            enumerate_outputs(parse_rule("0>1,1>-"), FULL_MEMORY, bad)
+        assert str(exc.value) == f"output enumeration needs an int n, got {bad!r}"
+    # a negative or too large length keeps its message
+    with pytest.raises(ValueError, match="^max_n must be nonnegative$"):
+        verify_proposition("P2", -0.5)
+    with pytest.raises(ValueError, match=r"^P2 supports max_n <= 12$"):
+        verify_proposition("P2", 12.5)
+
+
 def test_enumerate_outputs_small_cases() -> None:
     # dominate-on-0 under no memory reaches every threshold class
     outs = enumerate_outputs(parse_rule("0>E,1>-"), NO_MEMORY, 3)
