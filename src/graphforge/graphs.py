@@ -45,8 +45,11 @@ LIMITS = {
 
 
 def _check_limit(name: str, n: int, message: str, low: int | None = None) -> None:
-    """Raise `message`, its {limit} and {n} filled in, unless n <= LIMITS[name]
-    (and n >= low, when low is given)."""
+    """The one size gate: refuse an n that is not an int (a bool is not),
+    then raise `message`, its {limit} and {n} filled in, unless
+    n <= LIMITS[name] (and n >= low, when low is given)."""
+    if type(n) is not int:
+        raise ValueError(f"need an int n, got {n!r}")
     limit = LIMITS[name]
     if n > limit or (low is not None and n < low):
         raise ValueError(message.format(limit=limit, n=n))
@@ -90,13 +93,13 @@ class Graph(_Value):
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if type(n) is not int or type(edges) is not frozenset:
+            raise ValueError(f"need an int n and frozenset edges, got {n!r} and {type(edges).__name__}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         for i, j in edges:
-            if not (1 <= i < j <= n):
+            if type(i) is not int or type(j) is not int or not (1 <= i < j <= n):
                 raise ValueError(f"edge ({i}, {j}) invalid for n={n}")
-        if type(n) is not int or type(edges) is not frozenset:
-            raise ValueError(f"need an int n and frozenset edges, got {n!r} and {type(edges).__name__}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 

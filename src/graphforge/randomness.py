@@ -405,9 +405,7 @@ def randomness_cost_a(n: int) -> int:
     """Coin budget a(n) of the uniform vertex-addition process, by the
     recurrence a(1)=0, a(2)=1,
     a(n) = a(n-1) + b(n) + floor(log2(n-1)) + 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_limit("cost_a_n", n, "bit cost a(n) supported for n <= {limit}, got {n}")
+    _check_limit("cost_a_n", n, "bit cost a(n) supported for 1 <= n <= {limit}, got {n}", low=1)
     # Step i = m + 1 draws its subset from c = C(m, floor(m/2)) choices at
     # either parity, as C(m, (m+1)/2) = C(m, (m-1)/2) for odd m.  c doubles
     # when m is even and gains the factor m / ((m+1)/2) when m is odd.
@@ -422,9 +420,7 @@ def randomness_cost_a_closed(n: int) -> int:
     """Closed-form summation for a(n), n >= 4; agrees with the recurrence.
     (Both subset-cost sums run up to n inclusive: stopping them at n-1 loses
     the final step's subset draw and already misses a(4).)"""
-    if n < 4:
-        raise ValueError("closed form stated for n >= 4")
-    _check_limit("cost_a_n", n, "closed form of a(n) supported for n <= {limit}, got {n}")
+    _check_limit("cost_a_n", n, "closed form of a(n) supported for 4 <= n <= {limit}, got {n}", low=4)
     # The b_e(i) - 1 and b_o(i) - 1 terms read C(i-1, h), h = floor(i/2): the
     # one of i - 2 times 2(2h-1)/h, from C(1, 1) at i = 2 and C(0, 0) at i = 1.
     central, s_subsets = [1, 1], 0

@@ -47,17 +47,17 @@ class ParentVector(_Value):
     parents: tuple[int, ...]
 
     def __init__(self, n: int, parents: tuple[int, ...]) -> None:
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 1:
             raise ValueError("need at least one vertex")
         if len(parents) != n - 1:
             raise ValueError(f"need parents for vertices 2..{n}")
-        if type(n) is not int:
-            raise ValueError(f"vertex count must be an int, got {n!r}")
         for t, p in enumerate(parents, start=2):
-            if not (1 <= p < t):
-                raise ValueError(f"parent of vertex {t} must lie in 1..{t - 1}, got {p}")
             if type(p) is not int:
                 raise ValueError(f"parent of vertex {t} must be an int, got {p!r}")
+            if not (1 <= p < t):
+                raise ValueError(f"parent of vertex {t} must lie in 1..{t - 1}, got {p}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "parents", parents)
 

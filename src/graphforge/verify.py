@@ -27,8 +27,8 @@ verify_proposition runs any check by id; hierarchy_report runs hierarchy.
 The reachability helpers (enumerate_outputs, reachable_classes,
 find_constructions, expressiveness_count) answer which isomorphism classes
 each memory model can emit at all. Checks and helpers share one bound on
-the walk: LIMITS["enumeration_n"], or "modifiable_n" under the modifiable
-model.
+the walk, the size entry "enumeration_n" ("modifiable_n" under the
+modifiable model), read through the size gate graphs._check_limit.
 
 Every check reads its machine runs from machines._runs, one walk per rule
 for all lengths 0..max_n (one trace per legal choice sequence under the
@@ -58,7 +58,6 @@ from .families import (
     zero_anchored_blocks,
 )
 from .graphs import (
-    LIMITS,
     Graph,
     canonical_form,
     complete_bipartite,
@@ -76,6 +75,7 @@ from .graphs import (
     is_threshold_by_forbidden,
     path_graph,
     to_json,
+    _check_limit,
     _json_text,
 )
 from .machines import (
@@ -163,22 +163,11 @@ def _rules_for(model: MemoryModel) -> tuple[RuleSet, ...]:
     return NO_MEMORY_RULES if model.kind == "none" else FULL_RULES
 
 
-# a walk's refusals of n < 0, of n above its bound and of an n that is not an int
-_WALK_REFUSALS = ("{what} needs n >= 0, got {n}",
-                  "{what} bounds: n <= {enumeration_n}, modifiable n <= {modifiable_n}",
-                  "{what} needs an int n, got {n!r}")
-
-
-def _check_walk_bound(model: MemoryModel, n: int, what: str, refusals=_WALK_REFUSALS) -> None:
-    """Refuse, before any work, a walk over the model's runs to length n.
-    Every check and reachability helper reads its bound here: modifiable_n
-    under the modifiable model, else enumeration_n. A refusal may name what,
-    n, the bound as limit, and any LIMITS entry."""
-    limit = LIMITS["modifiable_n" if model.kind == "modifiable" else "enumeration_n"]
-    if not 0 <= n <= limit:
-        raise ValueError(refusals[n > limit].format(what=what, n=n, limit=limit, **LIMITS))
-    if type(n) is not int:
-        raise ValueError(refusals[2].format(what=what, n=n, limit=limit, **LIMITS))
+def _check_walk_bound(model: MemoryModel, n: int, message: str) -> None:
+    """Refuse, before any work, a walk over the model's runs to length n:
+    every check and reachability helper reads its bound here, modifiable_n
+    under the modifiable model, else enumeration_n."""
+    _check_limit("modifiable_n" if model.kind == "modifiable" else "enumeration_n", n, message, low=0)
 
 
 # what a report keeps of a run: rule, model, x and choices replay it, graph is its output
@@ -213,13 +202,13 @@ def _reachable_with_witnesses(model: MemoryModel, n: int, shortest: int | None =
 
 def enumerate_outputs(rule: RuleSet, model: MemoryModel, n: int) -> set[bytes]:
     """Canonical forms of every output of the rule at string length n."""
-    _check_walk_bound(model, n, "output enumeration")
+    _check_walk_bound(model, n, "output enumeration supported for 0 <= n <= {limit}, got {n}")
     return {canonical_form(trace.final.graph) for trace in _runs(rule, model, n)}
 
 
 def reachable_classes(model: MemoryModel, n: int) -> set[bytes]:
     """Canonical forms reachable under any rule legal for the model."""
-    _check_walk_bound(model, n, "output enumeration")
+    _check_walk_bound(model, n, "output enumeration supported for 0 <= n <= {limit}, got {n}")
     return set(_reachable_with_witnesses(model, n)[n])
 
 
@@ -232,7 +221,7 @@ def find_constructions(g: Graph, model: MemoryModel) -> list[tuple[str, str]]:
     """All (rule, x) whose output is isomorphic to g, in rule order with
     strings ascending; for the modifiable model a pair is included when
     some choice sequence reaches g."""
-    _check_walk_bound(model, g.n, "construction search")
+    _check_walk_bound(model, g.n, "construction search supported for 0 <= n <= {limit}, got {n}")
     hits: list[tuple[str, str]] = []
     for rule in _rules_for(model):
         # a string is tested until its first hit
@@ -497,9 +486,7 @@ def _report(check_id: str, max_n: int | None) -> VerificationReport:
         raise ValueError(f"unknown check {check_id!r}; expected one of {', '.join(CHECK_IDS)}")
     check, models, default_n = _CHECKS[check_id]
     bound = default_n if max_n is None else max_n
-    refusals = ("max_n must be nonnegative", "{what} supports max_n <= {limit}",
-                "max_n must be an int, got {n!r}")
-    _check_walk_bound(models[-1], bound, check_id, refusals)
+    _check_walk_bound(models[-1], bound, check_id + " supports 0 <= max_n <= {limit}, got {n}")
     started = time.monotonic()
     cxs: list[Counterexample] = []
     notes: list[str] = []

@@ -490,7 +490,7 @@ def test_build_trace_matches_golden_json(capsys) -> None:
 
 def test_bounds_rejected_before_any_work(capsys) -> None:
     assert main(["verify", "hierarchy", "--max-n", "-1"]) == 2
-    assert "max_n must be nonnegative" in capsys.readouterr().err
+    assert "hierarchy supports 0 <= max_n <= 12, got -1" in capsys.readouterr().err
     assert main(["likelihood", "--graph", "E0", "--mc", "10", "--seed", "1"]) == 2
     assert "error" in capsys.readouterr().err
     for argv in (["random", "gnp", "--n", "1449", "--p", "0"], ["random", "va", "--n", "1449"]):

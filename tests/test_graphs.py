@@ -582,11 +582,20 @@ def test_graph_refuses_a_non_int_count_or_edges_that_are_not_a_frozenset() -> No
         with pytest.raises(ValueError) as exc:
             Graph(n, edges)
         assert str(exc.value) == f"need an int n and frozenset edges, got {got}"
-    # what the range checks refused before keeps their message
-    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -1\.5$"):
+    # types are checked before ranges, as the size gate does
+    with pytest.raises(ValueError, match=r"^need an int n and frozenset edges, got -1\.5 and list$"):
         Graph(-1.5, [])
     with pytest.raises(ValueError, match=r"^edge \(1, 3\) invalid for n=2$"):
-        Graph(2, [(1, 3)])
+        Graph(2, frozenset([(1, 3)]))
+
+
+def test_graph_refuses_an_endpoint_that_is_not_an_int() -> None:
+    """A float endpoint once built a graph whose JSON from_json refuses; a
+    str one escaped as TypeError."""
+    for edge in ((1.5, 2), (1, 2.0), (True, 2), ("1", 2), (Fraction(1), 2)):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, frozenset({edge}))
+        assert str(exc.value) == f"edge ({edge[0]}, {edge[1]}) invalid for n=3"
 
 
 def _edge_order_cases():

@@ -1,7 +1,8 @@
 """Every name a graphforge module imports is used in that module, every
 private module-level name is used somewhere in the package, no module
-reads the size limits at import or names a route bound outside its owner,
-and importing graphforge loads neither `dataclasses` nor `inspect`."""
+reads the size limits at import, names them outside their owner and the
+CLI's help, or names a route bound outside its owner, and importing
+graphforge loads neither `dataclasses` nor `inspect`."""
 
 from __future__ import annotations
 
@@ -150,6 +151,21 @@ def test_no_module_reads_limits_at_import() -> None:
         or (isinstance(node, ast.Attribute) and node.attr == "LIMITS")
     ]
     assert reads == []
+
+
+def test_only_the_owner_and_the_help_texts_name_limits() -> None:
+    """graphs owns LIMITS and its size gate, _check_limit, reads it for every
+    entry point; cli's help texts print its entries. Any other module goes
+    through the gate, so it has no template or bound of its own to drift."""
+    namers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), path.name))
+        if (isinstance(node, ast.Name) and node.id == "LIMITS")
+        or (isinstance(node, ast.Attribute) and node.attr == "LIMITS")
+        or (isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name == "LIMITS" for a in node.names))
+    }
+    assert namers == {"graphs.py", "cli.py"}
 
 
 def _constant_owners(tree: ast.Module, value: str) -> list[str]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+from fractions import Fraction
 from itertools import count
 from math import comb
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 from graphforge import cli, graphs, machines, randomness, trees, verify
 from graphforge.graphs import (
     LIMITS,
+    Graph,
     canonical_form,
     complete_graph,
     contains_induced,
@@ -42,6 +44,7 @@ from graphforge.randomness import (
     sample_vertex_addition,
 )
 from graphforge.trees import (
+    ParentVector,
     enumerate_labeled_trees,
     enumerate_tree_classes,
     sample_ua_parents,
@@ -49,6 +52,7 @@ from graphforge.trees import (
     ua_likelihood_exact,
 )
 from graphforge.verify import (
+    CHECK_IDS,
     enumerate_outputs,
     expressiveness_count,
     find_constructions,
@@ -100,25 +104,29 @@ CASES = [
     ("class_law_n", "11", likelihood_extremes,
      "extremes computed for 1 <= n <= 7", True),
     ("enumeration_n", "12", lambda s: enumerate_outputs(RULE, FULL_MEMORY, s),
-     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
+     "output enumeration supported for 0 <= n <= 12, got 13", False),
     ("enumeration_n", "13", lambda s: reachable_classes(FULL_MEMORY, s),
-     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
+     "output enumeration supported for 0 <= n <= 12, got 13", False),
     ("enumeration_n", "14", lambda s: find_constructions(empty_graph(s), FULL_MEMORY),
-     "construction search bounds: n <= 12, modifiable n <= 7", False),
+     "construction search supported for 0 <= n <= 12, got 13", False),
     ("modifiable_n", "15", lambda s: enumerate_outputs(RULE, MODIFIABLE, s),
-     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
+     "output enumeration supported for 0 <= n <= 7, got 8", False),
     ("modifiable_n", "16", lambda s: find_constructions(empty_graph(s), MODIFIABLE),
-     "construction search bounds: n <= 12, modifiable n <= 7", False),
+     "construction search supported for 0 <= n <= 7, got 8", False),
     ("modifiable_n", "17", lambda s: verify_proposition("C_modifiable", s),
-     "C_modifiable supports max_n <= 7", False),
+     "C_modifiable supports 0 <= max_n <= 7, got 8", False),
     ("enumeration_n", "18", lambda s: verify_proposition("hierarchy", s),
-     "hierarchy supports max_n <= 12", False),
+     "hierarchy supports 0 <= max_n <= 12, got 13", False),
     ("enumeration_n", "19", hierarchy_report,
-     "hierarchy supports max_n <= 12", False),
-    ("enumeration_n", "20", lambda s: verify_proposition("P2", s), "P2 supports max_n <= 12", False),
-    ("enumeration_n", "21", lambda s: verify_proposition("P3", s), "P3 supports max_n <= 12", False),
-    ("enumeration_n", "22", lambda s: verify_proposition("P5", s), "P5 supports max_n <= 12", False),
-    ("enumeration_n", "23", lambda s: verify_proposition("C_pnfree", s), "C_pnfree supports max_n <= 12", False),
+     "hierarchy supports 0 <= max_n <= 12, got 13", False),
+    ("enumeration_n", "20", lambda s: verify_proposition("P2", s),
+     "P2 supports 0 <= max_n <= 12, got 13", False),
+    ("enumeration_n", "21", lambda s: verify_proposition("P3", s),
+     "P3 supports 0 <= max_n <= 12, got 13", False),
+    ("enumeration_n", "22", lambda s: verify_proposition("P5", s),
+     "P5 supports 0 <= max_n <= 12, got 13", False),
+    ("enumeration_n", "23", lambda s: verify_proposition("C_pnfree", s),
+     "C_pnfree supports 0 <= max_n <= 12, got 13", False),
     ("build_edges", "24", lambda s: sample_ua_parents(s + 1, 0),
      "a 1048578-vertex tree may build 1048577 edges; limit 1048576", False),
     ("build_edges", "25", lambda s: sample_gnp(_vertices_for_pairs(s), 0, 1),
@@ -132,15 +140,15 @@ CASES = [
     ("matrix_bits", "28", lambda s: to_bitstring(empty_graph(_vertices_for_pairs(s))),
      "matrix output supports C(n,2) <= 16777216 bits (n <= 5793), got n=5794", False),
     ("cost_a_n", "29", randomness_cost_a,
-     "bit cost a(n) supported for n <= 65536, got 65537", True),
+     "bit cost a(n) supported for 1 <= n <= 65536, got 65537", True),
     ("cost_a_n", "30", randomness_cost_a_closed,
-     "closed form of a(n) supported for n <= 65536, got 65537", False),
+     "closed form of a(n) supported for 4 <= n <= 65536, got 65537", False),
     ("exact_n", "31", lambda s: contains_induced(path_graph(s), path_graph(4)),
      "induced-subgraph search supported for hosts with n <= 12, got 13", True),
     ("exact_n", "32", lambda s: is_threshold_by_forbidden(path_graph(s)),
      "forbidden-subgraph threshold test supported for n <= 12, got 13", True),
     ("enumeration_n", "expressiveness_count", lambda s: expressiveness_count(FULL_MEMORY, s),
-     "output enumeration bounds: n <= 12, modifiable n <= 7", False),
+     "output enumeration supported for 0 <= n <= 12, got 13", False),
 ]
 IDS = [f"{entry}-{name}" for entry, name, *_ in CASES]
 ROWS = [(entry, call, message, cheap) for entry, _, call, message, cheap in CASES]
@@ -191,6 +199,45 @@ def test_a_lowered_entry_moves_the_bound(no_work, monkeypatch, entry, call, mess
     with pytest.raises(ValueError, match=str(lowered)) as exc:
         call(lowered + 1)
     assert str(exc.value) != message
+
+
+# every entry point that hands its caller's size to the gate, and sizes of
+# other types: each is refused before any comparison, so neither a TypeError
+# nor the work of a size that compares like an int gets through
+SIZED = [
+    ("enumerate_graph_classes", enumerate_graph_classes),
+    ("enumerate_tree_classes", enumerate_tree_classes),
+    ("enumerate_labeled_trees", enumerate_labeled_trees),
+    ("likelihood_extremes", likelihood_extremes),
+    ("randomness_cost_a", randomness_cost_a),
+    ("randomness_cost_a_closed", randomness_cost_a_closed),
+    *((f"verify_proposition-{check}", lambda n, check=check: verify_proposition(check, n))
+      for check in CHECK_IDS),
+    ("hierarchy_report", hierarchy_report),
+    ("enumerate_outputs", lambda n: enumerate_outputs(RULE, FULL_MEMORY, n)),
+    ("enumerate_outputs-modifiable", lambda n: enumerate_outputs(RULE, MODIFIABLE, n)),
+    ("reachable_classes", lambda n: reachable_classes(FULL_MEMORY, n)),
+    ("expressiveness_count", lambda n: expressiveness_count(FULL_MEMORY, n)),
+]
+WRONG_SIZES = {"str": "3", "float": 2.5, "integral-float": 3.0, "bool": True, "Fraction": Fraction(3)}
+
+
+@pytest.mark.parametrize("size", list(WRONG_SIZES.values()), ids=list(WRONG_SIZES))
+@pytest.mark.parametrize(("name", "call"), SIZED, ids=[name for name, _ in SIZED])
+def test_a_size_that_is_not_an_int_is_refused_before_any_work(no_work, name, call, size) -> None:
+    with pytest.raises(ValueError) as exc:
+        call(size)
+    assert str(exc.value) == f"need an int n, got {size!r}"
+
+
+@pytest.mark.parametrize(("build", "message"), [
+    (lambda: Graph("3", frozenset()), "need an int n and frozenset edges, got '3' and frozenset"),
+    (lambda: ParentVector("3", (1, 1)), "vertex count must be an int, got '3'"),
+], ids=["Graph", "ParentVector"])
+def test_the_checked_constructors_refuse_a_str_size(build, message) -> None:
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 E10, E11 = empty_graph(10), empty_graph(11)

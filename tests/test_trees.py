@@ -65,14 +65,14 @@ def test_parent_vector_validation() -> None:
 
 def test_parent_vector_refuses_non_int_entries() -> None:
     """A bool or float once passed the range checks: (True,) stood for the
-    tree 1-2. Out-of-range entries keep their range message."""
+    tree 1-2. Types are checked before ranges, as the size gate does."""
     for n, parents, message in (
         (2, (True,), "parent of vertex 2 must be an int, got True"),
         (3, (1, 1.0), "parent of vertex 3 must be an int, got 1.0"),
         (True, (), "vertex count must be an int, got True"),
         (2.0, (1,), "vertex count must be an int, got 2.0"),
         (3, (1, 2.5), "parent of vertex 3 must be an int, got 2.5"),
-        (3, (1, 3.0), "parent of vertex 3 must lie in 1..2, got 3.0"),
+        (3, (1, 3.0), "parent of vertex 3 must be an int, got 3.0"),
     ):
         with pytest.raises(ValueError) as exc:
             ParentVector(n, parents)

@@ -88,18 +88,14 @@ def test_verify_rejects_unknown_proposition() -> None:
 
 
 def test_walk_bounds_refuse_a_length_that_is_not_an_int() -> None:
-    for bad in (True, 2.5):
+    # the type is checked first, so a negative or too large float is refused as a float
+    for bad in (True, 2.5, -0.5, 12.5):
         with pytest.raises(ValueError) as exc:
             verify_proposition("P2", bad)
-        assert str(exc.value) == f"max_n must be an int, got {bad!r}"
+        assert str(exc.value) == f"need an int n, got {bad!r}"
         with pytest.raises(ValueError) as exc:
             enumerate_outputs(parse_rule("0>1,1>-"), FULL_MEMORY, bad)
-        assert str(exc.value) == f"output enumeration needs an int n, got {bad!r}"
-    # a negative or too large length keeps its message
-    with pytest.raises(ValueError, match="^max_n must be nonnegative$"):
-        verify_proposition("P2", -0.5)
-    with pytest.raises(ValueError, match=r"^P2 supports max_n <= 12$"):
-        verify_proposition("P2", 12.5)
+        assert str(exc.value) == f"need an int n, got {bad!r}"
 
 
 def test_enumerate_outputs_small_cases() -> None:
@@ -185,14 +181,14 @@ def test_modifiable_outputs_within_bound() -> None:
 
 def test_enumeration_rejects_negative_sizes() -> None:
     rule = parse_rule("0>1,1>-")
-    with pytest.raises(ValueError, match="output enumeration needs n >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"^output enumeration supported for 0 <= n <= 12, got -1$"):
         enumerate_outputs(rule, FULL_MEMORY, -1)
-    with pytest.raises(ValueError, match="output enumeration needs n >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"^output enumeration supported for 0 <= n <= 12, got -1$"):
         reachable_classes(FULL_MEMORY, -1)
-    # the upper-bound message is unchanged
-    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+    # one message names both ends of the model's bound
+    with pytest.raises(ValueError, match=r"^output enumeration supported for 0 <= n <= 7, got 8$"):
         enumerate_outputs(rule, MODIFIABLE, 8)
-    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+    with pytest.raises(ValueError, match=r"^output enumeration supported for 0 <= n <= 12, got 13$"):
         enumerate_outputs(rule, FULL_MEMORY, 13)
 
 
@@ -563,9 +559,9 @@ def test_hierarchy_is_a_row_of_the_check_table() -> None:
         assert by_id.to_json() == by_name.to_json() and by_id.to_text() == by_name.to_text()
     assert hierarchy_report().max_n == verify_proposition("hierarchy").max_n == 8
     for call in (hierarchy_report, lambda n: verify_proposition("hierarchy", n)):
-        with pytest.raises(ValueError, match=r"^hierarchy supports max_n <= 12$"):
+        with pytest.raises(ValueError, match=r"^hierarchy supports 0 <= max_n <= 12, got 13$"):
             call(13)
-        with pytest.raises(ValueError, match=r"^max_n must be nonnegative$"):
+        with pytest.raises(ValueError, match=r"^hierarchy supports 0 <= max_n <= 12, got -1$"):
             call(-1)
     with pytest.raises(ValueError) as exc:
         verify_proposition("P99")
@@ -593,14 +589,14 @@ def test_each_walk_entry_bounds_the_checks_that_walk_its_model(monkeypatch) -> N
                 limit = (7 if check == "C_modifiable" else 12) - (3 if check in moved else 0)
                 with pytest.raises(ValueError) as exc:
                     verify_proposition(check, limit + 1)
-                assert str(exc.value) == f"{check} supports max_n <= {limit}"
+                assert str(exc.value) == f"{check} supports 0 <= max_n <= {limit}, got {limit + 1}"
                 with pytest.raises(Started):
                     verify_proposition(check, limit)
 
 
 def test_expressiveness_count_reads_the_enumeration_bound() -> None:
     assert expressiveness_count(FULL_MEMORY, 9) == 510
-    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+    with pytest.raises(ValueError, match=r"^output enumeration supported for 0 <= n <= 12, got 13$"):
         expressiveness_count(FULL_MEMORY, 13)
-    with pytest.raises(ValueError, match=r"^output enumeration bounds: n <= 12, modifiable n <= 7$"):
+    with pytest.raises(ValueError, match=r"^output enumeration supported for 0 <= n <= 7, got 8$"):
         expressiveness_count(MODIFIABLE, 8)
