@@ -6,11 +6,15 @@ here is sized for exhaustive desk-scale verification (n up to about 12), not
 for large instances: isomorphism is a backtracking search, and one exact
 partition-refinement search gives the canonical form and |Aut|.
 
-Adjacency has one index, `Graph.rows`: rows[v] is the neighbour bitmask of
-v (bit u set when u ~ v), rows[0] == 0.  It is built from `edges` on first
-use and then kept; every algorithm that reads adjacency reads it.  A row is
-as wide as v's largest neighbour, so on a sparse graph the index takes about
-n^2/16 bytes; JSON output and `trees.is_recursive_tree` read `edges` instead.
+A graph has two indexes, each built on first use and then kept (`_lazy`).
+`Graph.rows` is the adjacency: rows[v] is the neighbour bitmask of v (bit u
+set when u ~ v), rows[0] == 0; every algorithm that reads adjacency reads
+it.  A row is as wide as v's largest neighbour, so on a sparse graph it
+takes about n^2/16 bytes.  `Graph.lex_edges`, which JSON and DOT output
+read, is the edges in lexicographic order: one stable sort by first endpoint
+of the edges listed by second endpoint, in the order a machine run, the
+tree builder or the vertex-addition sampler made them (`_graph_by_second`),
+or else sorted so.
 
 Two facts are computed by deliberately independent routes so they can be
 cross-checked: graph isomorphism (backtracking on adjacency) versus canonical
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import comb, factorial, isqrt
 from operator import attrgetter, itemgetter
@@ -44,12 +48,16 @@ LIMITS = {
 }
 
 
-def _check_limit(name: str, n: int, message: str, low: int | None = None) -> None:
-    """The one size gate: refuse an n that is not an int (a bool is not),
-    then raise `message`, its {limit} and {n} filled in, unless
-    n <= LIMITS[name] (and n >= low, when low is given)."""
-    if type(n) is not int:
+def _check_int(n) -> None:
+    if type(n) is not int:  # a bool is not
         raise ValueError(f"need an int n, got {n!r}")
+
+
+def _check_limit(name: str, n: int, message: str, low: int | None = None) -> None:
+    """The one size gate: refuse an n that is not an int, then raise
+    `message`, its {limit} and {n} filled in, unless n <= LIMITS[name]
+    (and n >= low, when low is given)."""
+    _check_int(n)
     limit = LIMITS[name]
     if n > limit or (low is not None and n < low):
         raise ValueError(message.format(limit=limit, n=n))
@@ -86,6 +94,20 @@ class _Value:
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
+class _lazy:
+    """functools.cached_property without the lock it takes on every first
+    read before Python 3.12: the value goes into the instance dict."""
+
+    def __init__(self, build) -> None:
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class Graph(_Value):
     """Immutable simple graph on vertices 1..n with edges (i, j), i < j."""
 
@@ -97,9 +119,13 @@ class Graph(_Value):
             raise ValueError(f"need an int n and frozenset edges, got {n!r} and {type(edges).__name__}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        for i, j in edges:
-            if type(i) is not int or type(j) is not int or not (1 <= i < j <= n):
-                raise ValueError(f"edge ({i}, {j}) invalid for n={n}")
+        try:
+            bad = next((f"({i}, {j})" for i, j in edges
+                        if type(i) is not int or type(j) is not int or not (1 <= i < j <= n)), None)
+        except (TypeError, ValueError):  # an edge that does not unpack into a pair
+            bad = next(repr(e) for e in edges if type(e) is not tuple or len(e) != 2)
+        if bad is not None:
+            raise ValueError(f"edge {bad} invalid for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
@@ -118,15 +144,20 @@ class Graph(_Value):
         return len(self.edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        """The edges in lexicographic order.  Two stable sorts on int keys
-        give the same list as sorted(self.edges) without its tuple
-        comparisons, which cost more on large graphs."""
-        return sorted(sorted(self.edges, key=itemgetter(1)), key=itemgetter(0))
+        """The edges in lexicographic order, a new list on every call."""
+        return list(self.lex_edges)
+
+    @_lazy
+    def lex_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges in lexicographic order. Sorts on int keys skip the tuple
+        comparisons of sorted(self.edges), which cost more on large graphs."""
+        by_second = self.__dict__.pop("_by_second", None) or sorted(self.edges, key=itemgetter(1))
+        return tuple(sorted(by_second, key=itemgetter(0)))
 
     def has_edge(self, a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edges
 
-    @cached_property
+    @_lazy
     def rows(self) -> tuple[int, ...]:
         """The adjacency index: rows[v] is the neighbour bitmask of v
         (rows[0] == 0), built from `edges` on first use and then kept."""
@@ -154,6 +185,16 @@ def _unchecked(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _graph_by_second(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """The unchecked graph on 1..n with `edges`, a tuple that lists them by
+    second endpoint and is kept until `lex_edges` reads it. Set one by one,
+    the fields stay out of a per-instance dict, as Graph() keeps them."""
+    g = object.__new__(Graph)
+    for name, value in (("n", n), ("edges", frozenset(edges)), ("_by_second", edges)):
+        object.__setattr__(g, name, value)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +336,7 @@ def _labeled_copy_masks(g: Graph) -> set[int]:
     n = g.n
     column = [[]] + [bits for _, bits in _columns(n)]  # column[y][x]: the dyad (x+1, y+1), x < y
     bit = [[column[max(x, y)][min(x, y)] if x != y else 0 for y in range(n)] for x in range(n)]
-    base = [(i - 1, j - 1) for i, j in g.sorted_edges()]
+    base = [(i - 1, j - 1) for i, j in g.edges]
     masks: set[int] = set()
     for perm in permutations(range(n)):
         m = 0
@@ -737,10 +778,10 @@ def _json_text(obj) -> str:
 
 
 def _json_value(g: Graph) -> dict:
-    """The JSON object of g with each edge a tuple: json.dumps writes a tuple
-    as an array, so it prints the same bytes without building a list per
-    edge."""
-    return {"n": g.n, "edges": g.sorted_edges()}
+    """The JSON object of g with its edges the tuple `lex_edges`: json.dumps
+    writes a tuple as an array, so it prints the same bytes without copying
+    the index or building a list per edge."""
+    return {"n": g.n, "edges": g.lex_edges}
 
 
 def to_json_obj(g: Graph) -> dict:
@@ -771,7 +812,7 @@ def from_json(text: str) -> Graph:
 def to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     lines.extend(f"  {v};" for v in range(1, g.n + 1))
-    lines.extend(f"  {i} -- {j};" for i, j in g.sorted_edges())
+    lines.extend(f"  {i} -- {j};" for i, j in g.lex_edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -23,8 +23,9 @@ What "earlier vertices labelled c" means depends on the memory model:
 
 _step is the step semantics: it places one vertex onto a run prefix and
 records the edges it adds. Two loops sit beside it. _run replays one run
-from step 1 on one mutable edge set (interpret, and through it the CLI's
-build). _runs walks the runs of one or more lengths depth-first; each
+from step 1 (interpret, and through it the CLI's build); only a rewrite
+reads the edges built so far, so only a modifiable run keeps them in a
+running set. _runs walks the runs of one or more lengths depth-first; each
 step branches over one fixed list of (bit, choice) options, so runs that
 share a prefix, across strings, choices and lengths alike, share its steps.
 _check_run refuses illegal runs before either loop starts.
@@ -39,10 +40,13 @@ from __future__ import annotations
 
 from collections.abc import Set
 from enum import Enum
+from itertools import chain, compress, repeat
 from math import comb
+from operator import not_
 from typing import NamedTuple
 
 from .graphs import Graph, empty_graph, to_json_obj, _Value, _check_edge_cap, _json_text, _unchecked
+from .graphs import _graph_by_second
 
 
 class InvalidActionForModel(ValueError):
@@ -79,7 +83,7 @@ class RuleSet(NamedTuple):
 
     @property
     def mnemonic(self) -> str:
-        return f"0>{self.action_for_0.value},1>{self.action_for_1.value}"
+        return f"0>{self.action_for_0._value_},1>{self.action_for_1._value_}"  # `value` is a property
 
     def uses_labels(self) -> bool:
         return self.action_for_0.join_target is not None or self.action_for_1.join_target is not None
@@ -336,6 +340,7 @@ def _check_run(rule: RuleSet, model: MemoryModel, n: int) -> None:
 
 
 _ActionPairs = tuple[tuple[Action, int | None], tuple[Action, int | None]]
+_Marks = tuple[tuple[int, ...], tuple[int, ...]]  # (the label-0 indicators, the labels)
 
 
 def _actions(rule: RuleSet) -> _ActionPairs:
@@ -346,14 +351,17 @@ def _actions(rule: RuleSet) -> _ActionPairs:
 
 
 def _step(
-    actions: _ActionPairs, fading: bool, labels: tuple[int, ...], edges: Set[tuple[int, int]],
+    actions: _ActionPairs, fading: bool, marks: _Marks, edges: Set[tuple[int, int]],
     t: int, modify: bool,
 ) -> StepRecord:
     """Step t: place vertex t, labelled labels[t - 1], onto the graph whose
     edges are `edges`, and record the edges its action adds that are not
-    already there, sorted. Only labels[:t] is read. `actions` is the rule's
-    _actions; `fading` selects the two-step window; `modify` replaces the
-    step by its label-pair rewrite."""
+    already there, sorted. marks[c][v - 1] is true when vertex v is labelled
+    c, and marks[1] is the labels; only their first t entries are read, and
+    `edges` only by a rewrite. `actions` is the rule's _actions; `fading`
+    selects the two-step window; `modify` replaces the step by its
+    label-pair rewrite."""
+    labels = marks[1]
     bit = labels[t - 1]
     action, c = actions[bit]
     if modify:
@@ -369,21 +377,20 @@ def _step(
             if (labels[i - 1], labels[j - 1]) in want and (i, j) not in edges
         )
     elif c is None:
-        added = tuple((i, t) for i in range(1, t)) if action is Action.DOMINATE_ALL else ()
+        added = tuple(zip(range(1, t), repeat(t))) if action is Action.DOMINATE_ALL else ()
     elif fading:  # window 2: only the previous label is readable
         added = ((t - 1, t),) if t > 1 and labels[t - 2] == c else ()
-    else:
-        added = tuple((i, t) for i in range(1, t) if labels[i - 1] == c)
+    else:  # the earlier vertices labelled c: compress stops at t - 1
+        added = tuple(zip(compress(range(1, t), marks[c]), repeat(t)))
     return StepRecord(t, bit, action, modify, added)
 
 
 def _trace(
     rule: RuleSet, model: MemoryModel, x: str, choices: str | None,
-    steps: tuple[StepRecord, ...], edges: frozenset[tuple[int, int]], labels: tuple[int, ...],
+    steps: tuple[StepRecord, ...], graph: Graph, labels: tuple[int, ...],
 ) -> ConstructionTrace:
     """The trace of a finished run, built without re-checking what the run
     made."""
-    graph = _unchecked(Graph, n=len(labels), edges=edges)
     final = _unchecked(LabeledGraph, graph=graph, labels=labels)
     return _unchecked(
         ConstructionTrace, rule=rule, model=model, x=x, choices=choices, steps=steps, final=final
@@ -393,17 +400,23 @@ def _trace(
 def _run(
     rule: RuleSet, model: MemoryModel, x: str, labels: tuple[int, ...], choices: str | None
 ) -> ConstructionTrace:
-    """One run, step by step; `choices` is None outside the modifiable model.
+    """One run, step by step; `choices` is None outside the modifiable model,
+    and only a modifiable run keeps the running edge set that rewrites read.
     Callers check the run with _check_run first."""
     actions = _actions(rule)
     fading = model.kind == "fading"
     steps: list[StepRecord] = []
     edges: set[tuple[int, int]] = set()
+    marks = tuple(map(not_, labels)), labels
     for t in range(1, len(labels) + 1):
-        rec = _step(actions, fading, labels, edges, t, choices is not None and choices[t - 1] == "m")
-        edges.update(rec.edges_added)
+        rec = _step(actions, fading, marks, edges, t, choices is not None and choices[t - 1] == "m")
+        if choices is not None:
+            edges.update(rec.edges_added)
         steps.append(rec)
-    return _trace(rule, model, x, choices, tuple(steps), frozenset(edges), labels)
+    # outside the modifiable model step t adds only edges (i, t), so the records list them in order
+    graph = (_unchecked(Graph, n=len(labels), edges=frozenset(edges)) if choices is not None
+             else _graph_by_second(len(labels), tuple(chain.from_iterable(rec.edges_added for rec in steps))))
+    return _trace(rule, model, x, choices, tuple(steps), graph, labels)
 
 
 def _runs(rule: RuleSet, model: MemoryModel, n: int, shortest: int | None = None):
@@ -421,20 +434,21 @@ def _runs(rule: RuleSet, model: MemoryModel, n: int, shortest: int | None = None
     fading = model.kind == "fading"
     modifiable = model.kind == "modifiable"
     options = [
-        (bit, choice)
+        (bit, choice, (not bit,), (bit,))
         for bit in (1, 0)
         for choice in ("ms" if modifiable and actions[bit][1] is not None else "s")
     ]
-    stack = [("", (), "", (), frozenset())]
+    stack = [("", ((), ()), "", (), frozenset())]
     while stack:
-        x, labels, choices, steps, edges = stack.pop()
-        t = len(labels)
+        x, marks, choices, steps, edges = stack.pop()
+        t = len(x)
         if t >= shortest:
-            yield _trace(rule, model, x, choices if modifiable else None, steps, edges, labels)
+            graph = _unchecked(Graph, n=t, edges=edges)
+            yield _trace(rule, model, x, choices if modifiable else None, steps, graph, marks[1])
         if t == n:
             continue
-        for bit, choice in options:
-            grown = labels + (bit,)
+        for bit, choice, zero, one in options:
+            grown = marks[0] + zero, marks[1] + one
             rec = _step(actions, fading, grown, edges, t + 1, choice == "m")
             stack.append((x + "01"[bit], grown, choices + choice, steps + (rec,),
                           edges.union(rec.edges_added)))
@@ -448,7 +462,12 @@ def memory_modifiable_steps(trace: ConstructionTrace) -> list[int]:
     edges not already present, so G_t minus vertex t has G_{t-1} as a
     spanning subgraph. The two are isomorphic exactly when they have equal
     edge counts, that is, when step t added no edge (i, j) with j < t."""
-    return [rec.step for rec in trace.steps if any(j < rec.step for _, j in rec.edges_added)]
+    return [rec.step for rec in trace.steps if _rewrites(rec)]
+
+
+def _rewrites(rec: StepRecord) -> bool:
+    """Whether the step added an edge between two earlier vertices."""
+    return any(j < rec.step for _, j in rec.edges_added)
 
 
 def is_memory_modifiable_output(trace: ConstructionTrace) -> bool:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import ceil, comb, isfinite
+from itertools import repeat
+from math import ceil, comb, isfinite, log
 from typing import NamedTuple
 
 from .graphs import (
@@ -51,7 +52,9 @@ from .graphs import (
     _labeled_copy_masks,
     _Value,
     _check_edge_cap,
+    _check_int,
     _check_limit,
+    _graph_by_second,
     _json_text,
     _vertices,
 )
@@ -88,9 +91,26 @@ def _coin_threshold(p) -> float:
     return ceil(Fraction(p) * 2**53) / 2**53
 
 
+# The samplers and the Monte-Carlo loops draw from getrandbits in place.  They
+# copy CPython 3.11's Random._randbelow(w), which is getrandbits(w.bit_length())
+# redrawn while >= w, and so randrange, and both branches of random.sample: a
+# pool when the population is no larger than a set of the picks, else picks
+# redrawn until new (the Monte-Carlo loops, n <= 12, reach only the pool).  So
+# every seeded graph, tree and estimate is what the stdlib calls drew under
+# CPython 3.11.  Monte-Carlo draws go straight into edge masks, vertex t's
+# picks into its block of back-edge bits.
+
+def _randbelow(getrandbits, size: int) -> int:
+    w = size.bit_length()
+    j = getrandbits(w)
+    while j >= size:
+        j = getrandbits(w)
+    return j
+
+
 def _draw_in_degree(dist, rng: random.Random, t: int) -> int:
     if isinstance(dist, Uniform):
-        return rng.randrange(t)
+        return _randbelow(rng.getrandbits, t)  # rng.randrange(t)
     if isinstance(dist, Binomial):
         threshold = _coin_threshold(dist.p)
         return sum(rng.random() < threshold for _ in range(t - 1))
@@ -103,6 +123,7 @@ def _draw_in_degree(dist, rng: random.Random, t: int) -> int:
 
 def sample_gnp(n: int, p, seed: int) -> Graph:
     """One draw of G(n, p): an independent biased coin per vertex pair."""
+    _check_int(n)
     _check_probability(p)
     _check_edge_cap(comb(max(n, 0), 2), f"a {n}-vertex sample")
     threshold = _coin_threshold(p)
@@ -114,12 +135,23 @@ def sample_gnp(n: int, p, seed: int) -> Graph:
 
 
 def _sample_va_edges(n: int, dist, rng: random.Random) -> list[tuple[int, int]]:
+    """One vertex-addition draw's edges by second endpoint: vertex t's k
+    neighbours are those rng.sample(range(1, t), k) picks."""
+    getrandbits = rng.getrandbits
     edges: list[tuple[int, int]] = []
     for t in range(2, n + 1):
         k = _draw_in_degree(dist, rng, t)
-        if k:
-            for i in rng.sample(range(1, t), k):
-                edges.append((i, t))
+        if k and t - 1 <= (21 if k <= 5 else 21 + 4 ** ceil(log(k * 3, 4))):  # a pool beats a k-set
+            pool = list(range(1, t))
+            for size in range(t - 1, t - 1 - k, -1):
+                j = _randbelow(getrandbits, size)
+                edges.append((pool[j], t))
+                pool[j] = pool[size - 1]
+        elif k:  # picks redrawn until new
+            picks: set[int] = set()
+            while len(picks) < k:
+                picks.add(_randbelow(getrandbits, t - 1) + 1)
+            edges.extend(zip(picks, repeat(t)))
     return edges
 
 
@@ -127,11 +159,11 @@ def sample_vertex_addition(n: int, dist, seed: int) -> Graph:
     """One draw of the vertex-addition process: start from a single vertex,
     then each arriving vertex picks an in-degree from `dist` and a uniform
     subset of earlier vertices of that size."""
+    _check_int(n)
     if n < 1:
         raise ValueError("process needs at least one vertex")
-    _check_edge_cap(comb(max(n, 0), 2), f"a {n}-vertex sample")
-    rng = random.Random(seed)
-    return Graph(n, frozenset(_sample_va_edges(n, dist, rng)))
+    _check_edge_cap(comb(n, 2), f"a {n}-vertex sample")
+    return _graph_by_second(n, tuple(_sample_va_edges(n, dist, random.Random(seed))))
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +209,6 @@ class McEstimate(NamedTuple):
             return 0.05 ** (1 / self.samples)
         return None
 
-
-# Monte-Carlo draws go straight into edge masks, vertex t's picks into its
-# block of back-edge bits.  They copy CPython 3.11's Random._randbelow(w),
-# which is getrandbits(w.bit_length()) redrawn while >= w, and the pool branch
-# that random.sample takes for a population of at most 21, so a seed gives the
-# same draws from the same stream as the samplers that call the stdlib.
 
 def _va_masks(n: int, samples: int, rng: random.Random):
     """Yield `samples` draws of `_sample_va_edges(n, Uniform(), rng)` as edge

@@ -32,12 +32,15 @@ from .graphs import (
     enumerate_graph_classes,
     is_tree,
     _check_edge_cap,
+    _check_int,
     _check_limit,
+    _graph_by_second,
     _tree_adjacency,
+    _unchecked,
     _Value,
 )
 from .machines import ResourceCost
-from .randomness import _count_copies, _ua_masks
+from .randomness import _count_copies, _randbelow, _ua_masks
 
 
 class ParentVector(_Value):
@@ -51,6 +54,8 @@ class ParentVector(_Value):
             raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 1:
             raise ValueError("need at least one vertex")
+        if type(parents) is not tuple:
+            raise ValueError(f"parents must be a tuple, got {type(parents).__name__}")
         if len(parents) != n - 1:
             raise ValueError(f"need parents for vertices 2..{n}")
         for t, p in enumerate(parents, start=2):
@@ -72,17 +77,20 @@ class ParentVector(_Value):
 
 
 def build_tree_from_instructions(pv: ParentVector) -> Graph:
-    """Realize the parent vector: vertex t attaches to parent(t)."""
-    return Graph(pv.n, frozenset((pv.parents[t - 2], t) for t in range(2, pv.n + 1)))
+    """Realize the parent vector, whose parents are checked: vertex t
+    attaches to parent(t)."""
+    return _graph_by_second(pv.n, tuple(zip(pv.parents, range(2, pv.n + 1))))
 
 
 def sample_ua_parents(n: int, seed: int) -> ParentVector:
-    """Uniform attachment: the parent of vertex t is uniform on 1..t-1."""
+    """Uniform attachment: the parent of vertex t is rng.randrange(1, t)."""
+    _check_int(n)
     if n < 1:
         raise ValueError("need at least one vertex")
     _check_edge_cap(n - 1, f"a {n}-vertex tree")
-    rng = random.Random(seed)
-    return ParentVector(n, tuple(rng.randrange(1, t) for t in range(2, n + 1)))
+    getrandbits = random.Random(seed).getrandbits
+    parents = tuple(_randbelow(getrandbits, t - 1) + 1 for t in range(2, n + 1))
+    return _unchecked(ParentVector, n=n, parents=parents)
 
 
 def sample_ua(n: int, seed: int) -> Graph:

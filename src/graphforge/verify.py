@@ -39,7 +39,8 @@ output with its closed-form family.
 C_modifiable reads rewrite steps from the traces' edge records: steps only
 add edges and record only new ones, so deleting vertex t from G_t fails to
 recover G_{t-1} up to isomorphism exactly when step t added an edge between
-two earlier vertices.
+two earlier vertices; each trace's last step is read, the rest carried from
+its prefix.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .machines import (
     interpret,
     memory_modifiable_steps,
     parse_rule,
+    _rewrites,
     _runs,
 )
 
@@ -385,20 +387,26 @@ def _verify_modifiable(max_n: int, cxs: list[Counterexample], notes: list[str]) 
         expected = "the complete bipartite graph on 1+4 vertices, rewritten at step 5"
         cxs.append(_counterexample(_witness(worked), expected))
 
+    # a trace's prefix is the latest trace one step shorter: prefixes[t] holds
+    # the latest length-t trace's count of rewrite steps and its failing (t, G_t)
     flagged_total = 0
+    prefixes: list[tuple[int, tuple[tuple[int, Graph], ...]]] = [(0, ())] * (max_n + 1)
     for trace, found in _walk(FULL_RULES, MODIFIABLE, max_n, cxs):
         checked += 1
-        flagged = memory_modifiable_steps(trace)
-        if not flagged:
+        t = len(trace.x)
+        if not t:
             continue
-        per_step = trace.graphs_per_step()
-        for t in flagged:
-            flagged_total += 1
-            g_t = per_step[t]
-            if canonical_form(g_t) not in families[t]:
-                expected = (f"step-{t} graph in the rewrite families "
-                            "(complete split / complete bipartite / complete)")
-                found.append(_counterexample(_witness(trace)._replace(graph=g_t), expected))
+        flagged, failing = prefixes[t - 1]
+        if _rewrites(trace.steps[-1]):
+            flagged += 1
+            if canonical_form(trace.final.graph) not in families[t]:
+                failing += ((t, trace.final.graph),)
+        prefixes[t] = flagged, failing
+        flagged_total += flagged
+        for step, g_t in failing:
+            expected = (f"step-{step} graph in the rewrite families "
+                        "(complete split / complete bipartite / complete)")
+            found.append(_counterexample(_witness(trace)._replace(graph=g_t), expected))
     notes.append(f"{flagged_total} rewrite steps examined")
     return checked
 

@@ -901,3 +901,22 @@ def test_class_law_searches_one_attach_set_per_twin_count(monkeypatch) -> None:
     graphs_module._class_law.cache_clear()
     assert searched == 6412
     assert attached == 156 * 64
+
+
+def test_graph_refuses_an_edge_that_is_not_a_pair() -> None:
+    """An int edge or a triple once escaped as an unpack TypeError or
+    ValueError without the edge message."""
+    for edge, shown in ((1, "1"), ((1, 2, 3), "(1, 2, 3)"), ((1,), "(1,)"), ("abc", "'abc'")):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, frozenset({(1, 2), edge}))
+        assert str(exc.value) == f"edge {shown} invalid for n=3"
+
+
+def test_both_indexes_are_built_on_first_read_and_kept() -> None:
+    """rows and lex_edges are plain instance attributes once read: the
+    second read finds the first read's object."""
+    g = Graph(4, frozenset({(3, 4), (1, 2), (1, 4)}))
+    assert "rows" not in g.__dict__ and "lex_edges" not in g.__dict__
+    assert g.lex_edges == ((1, 2), (1, 4), (3, 4)) and g.lex_edges is g.__dict__["lex_edges"]
+    assert g.rows == (0, 0b10100, 0b10, 0b10000, 0b1010) and g.rows is g.__dict__["rows"]
+    assert g == Graph(4, g.edges) and hash(g) == hash(Graph(4, g.edges))

@@ -240,6 +240,18 @@ def test_the_checked_constructors_refuse_a_str_size(build, message) -> None:
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("sample", [
+    lambda n: sample_gnp(n, 0.5, 1),
+    lambda n: sample_vertex_addition(n, Uniform(), 1),
+    lambda n: sample_ua_parents(n, 1),
+], ids=["sample_gnp", "sample_vertex_addition", "sample_ua_parents"])
+def test_the_samplers_refuse_a_str_size(sample) -> None:
+    """Each sampler's own pre-check once compared a str size and raised TypeError."""
+    with pytest.raises(ValueError) as exc:
+        sample("3")
+    assert str(exc.value) == "need an int n, got '3'"
+
+
 E10, E11 = empty_graph(10), empty_graph(11)
 P51, P52, P100, P101 = map(path_graph, (51, 52, 100, 101))
 # (constructor, its arguments one edge or more over a cap of 100 edges, its

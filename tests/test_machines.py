@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -356,3 +357,37 @@ def test_hashes_agree_between_processes() -> None:
     assert hash(fading_memory(2)) == hash(parse_model("fading")) and FULL_MEMORY != NO_MEMORY
     trace = interpret(parse_rule("0>1,1>-"), MODIFIABLE, "0110", "sssm")
     assert trace == copy.deepcopy(trace) and hash(trace) == hash(copy.deepcopy(trace))
+
+
+def test_a_run_hands_its_graph_the_edge_order() -> None:
+    """A run outside the modifiable model lists its edges by second endpoint
+    and its graph sorts them on the first endpoint alone; a modifiable run,
+    rewrites and all, sorts from scratch. Either way the lexicographic index
+    is sorted(edges): every string up to 8 bits, random ones of 9, 10 and 300
+    bits, with random choices under the modifiable model (at 300 bits one
+    rewrite in eight join steps, as each rewrite scans all pairs)."""
+    rng = random.Random(31)
+    strings = ["".join(bits) for n in range(9) for bits in product("01", repeat=n)]
+    strings += ["".join(rng.choice("01") for _ in range(n)) for n in (9, 10) for _ in range(10)]
+    strings += ["".join(rng.choice("01") for _ in range(300)) for _ in range(2)]
+    for model in (NO_MEMORY, FULL_MEMORY, fading_memory(2), MODIFIABLE):
+        for rule in NO_MEMORY_RULES if model == NO_MEMORY else FULL_RULES:
+            for x in strings:
+                if model == MODIFIABLE:
+                    odds = "sm" if len(x) <= 10 else "sssssssm"
+                    choices = "".join(
+                        rng.choice(odds) if rule.action_for(int(b)).join_target is not None else "s"
+                        for b in x
+                    )
+                    g = interpret(rule, model, x, choices).final.graph
+                else:
+                    g = interpret(rule, model, x).final.graph
+                assert g.lex_edges == tuple(sorted(g.edges)), (rule.mnemonic, str(model), x)
+
+
+def test_sorted_edges_is_a_copy_the_caller_may_change() -> None:
+    g = interpret(parse_rule("0>E,1>E"), FULL_MEMORY, "0110").final.graph
+    first = g.sorted_edges()
+    first.reverse()
+    first.append((9, 10))
+    assert g.sorted_edges() == sorted(g.edges) and (9, 10) not in g.lex_edges

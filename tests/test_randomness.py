@@ -526,3 +526,32 @@ def test_likelihood_complement_invariance_property(data) -> None:
     picked = data.draw(st.sets(st.sampled_from(dyads)) if dyads else st.just(set()))
     g = Graph(n, frozenset(picked))
     assert likelihood_exact(g) == likelihood_exact(complement(g))
+
+
+SAMPLE_SIZES = (*range(9), 21, 22, 30, 86, 200, 500)
+
+
+def test_vertex_addition_draws_what_the_stdlib_calls_drew() -> None:
+    """The in-place draws copy random.randrange and both branches of
+    random.sample, so every seed gives the graph the stdlib calls gave, or
+    the same refusal; the handed-over edge order gives the sorted edges
+    (`test_edge_order_and_json_match_the_tuple_sort` checks the sort from
+    scratch against sorted())."""
+    import stdlib_samplers as oracle
+
+    calls: list[tuple[int, int]] = []
+    for n in SAMPLE_SIZES:
+        for dist in (Uniform(), Binomial(Fraction(1, 20)), Binomial(0.5))[: 3 if n <= 30 else 2]:
+            for seed in range(30):
+                try:
+                    want = oracle.sample_vertex_addition(n, dist, seed, calls)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{exc}$"):
+                        sample_vertex_addition(n, dist, seed)
+                    continue
+                got = sample_vertex_addition(n, dist, seed)
+                # want, a checked Graph, sorts its edges from scratch
+                assert got == want and got.lex_edges == want.lex_edges, (n, dist, seed)
+                assert graphs.to_json(got) == graphs.to_json(want)
+    branches = {oracle.sample_branch(size, k) for size, k in calls}
+    assert branches == {"pool", "set"}

@@ -550,3 +550,33 @@ def test_large_tree_paths_build_no_rows_index() -> None:
     assert len(code) == 19_998 and prufer_decode(code) == g
     assert root_path(g, 20_000)[0] == 1 and leaves(g) and is_tree(g)
     assert "rows" not in g.__dict__
+
+
+def test_uniform_attachment_draws_what_randrange_drew() -> None:
+    """sample_ua_parents draws in place what rng.randrange(1, t) drew, or
+    refuses with the same message; the tree builder, unchecked, builds the
+    graph the checked one built, and hands over its edge order."""
+    import stdlib_samplers as oracle
+
+    for n in (*range(9), 21, 22, 30, 86, 200, 500):
+        for seed in range(30):
+            try:
+                want = oracle.sample_ua_parents(n, seed)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    sample_ua_parents(n, seed)
+                continue
+            pv = sample_ua_parents(n, seed)
+            assert pv == want and pv.to_json_array() == want.to_json_array(), (n, seed)
+            g = build_tree_from_instructions(pv)
+            assert graphs.to_json(g) == graphs.to_json(oracle.build_tree_from_instructions(want))
+            assert g.lex_edges == tuple(sorted(g.edges))
+
+
+def test_parent_vector_refuses_parents_that_are_not_a_tuple() -> None:
+    """A list of parents once built a vector whose hash() raised."""
+    for parents in ([1, 1], range(1, 3)):
+        with pytest.raises(ValueError) as exc:
+            ParentVector(3, parents)
+        assert str(exc.value) == f"parents must be a tuple, got {type(parents).__name__}"
+    assert hash(ParentVector(3, (1, 1))) == hash(ParentVector(3, (1, 1)))

@@ -498,6 +498,24 @@ def test_rewrite_family_faults_at_three_lengths_keep_the_report_order(monkeypatc
         assert _replay(cx).graphs_per_step()[step] == from_json(cx.got), cx
 
 
+def test_rewrite_check_reads_each_step_once(monkeypatch) -> None:
+    """C_modifiable tests only each trace's last step and carries its
+    prefix's count: one rewrite test per trace past the empty one, no
+    per-step graphs, and the count of the per-trace scan it replaced."""
+    real, read = verify._rewrites, []
+    monkeypatch.setattr(verify, "_rewrites", lambda rec: read.append(rec) or real(rec))
+
+    def refuse(trace):
+        raise AssertionError("graphs_per_step called")
+
+    monkeypatch.setattr(ConstructionTrace, "graphs_per_step", refuse)
+    report = verify_proposition("C_modifiable", 5)
+    traces = [t for rule in FULL_RULES for t in machines._runs(rule, MODIFIABLE, 5, 0) if t.x]
+    assert len(read) == len(traces) and report.passed
+    flagged = sum(len(machines.memory_modifiable_steps(t)) for t in traces)
+    assert f"{flagged} rewrite steps examined" in report.notes
+
+
 def test_shape_and_forest_checks_decide_without_isomorphism(monkeypatch) -> None:
     """Every named shape of P3 is met exactly under the label-sorting map,
     and P5 compares component sizes, so neither calls is_isomorphic."""
